@@ -180,9 +180,10 @@ def _cmd_search(ns: argparse.Namespace) -> int:
             )
         print(
             f"scanned {report.multisets_scanned} multisets "
-            f"(stage 1: {report.stage1_count}, stage 2: {report.stage2_count}) "
-            f"in {report.elapsed:.2f}s"
+            f"(stage 1: {report.stage1_count}, stage 2: {report.stage2_count})"
         )
+        # wall time varies run to run, so it stays off the deterministic stdout
+        print(f"search took {report.elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -410,7 +411,7 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
         "--threads",
         type=int,
         default=default(1),
-        help="parallel chunks for searches (default 1)",
+        help="parallel workers for searches, sharded by digit sum (default 1)",
     )
     parser.add_argument(
         "--budget",

@@ -10,11 +10,14 @@ Two predicates decide whether every orbit member is a Niven number:
 * ``is_pinn_criterion`` checks a pair of congruence conditions that are
   exactly equivalent: transpositions generate the symmetric group, condition
   (a) pins all arrangements to one residue class mod the digit sum, and
-  condition (b) anchors that class at zero.
+  condition (b) anchors that class at zero.  Condition (a) reduces to all
+  present digits agreeing modulo ``class_modulus(s, k)``, which the search
+  scan uses to enumerate candidate classes directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator
 
 from .digits import DigitMultiset, value_mod
@@ -25,6 +28,7 @@ __all__ = [
     "ExhaustiveProof",
     "FailureWitness",
     "PinnRecord",
+    "class_modulus",
     "is_niven",
     "is_pinn",
     "is_pinn_bruteforce",
@@ -125,38 +129,47 @@ def is_pinn_bruteforce(
     return True, ExhaustiveProof(quotients=tuple(quotients))
 
 
-def is_pinn_criterion(m: DigitMultiset) -> tuple[bool, CriterionProof]:
-    """Exact congruence test, no enumeration.
+def class_modulus(s: int, k: int) -> int:
+    """The modulus T(s, k) to which all present digits of a PINN class with
+    digit sum s and width k are congruent (see ``is_pinn_criterion``)."""
+    return s // gcd(s, 9) if k > 1 else 1
 
-    (a) for every present pair u > v and every gap d with offset i,
-        s | (u-v) * 10^i * (10^d - 1); equivalently all transposition
-        deltas vanish mod s;
+
+def is_pinn_criterion(m: DigitMultiset) -> tuple[bool, CriterionProof]:
+    """Exact congruence test, no enumeration, O(pairs + k).
+
+    (a) every transposition keeps the residue mod s: swapping digits u > v
+        at positions i and i + d changes the value by
+        (u-v) * 10^i * (10^d - 1), so s must divide that for every gap d
+        and offset i.  Offset 0 is the strongest, giving
+        u == v (mod s / gcd(s, 10^d - 1)) for every d < k.  Since 9 divides
+        every 10^d - 1, gap 1 binds: all present digits are congruent
+        modulo T = s / gcd(s, 9) (T = 1 when k = 1, which has no gaps);
     (b) the canonical arrangement is divisible by s.
+
+    The proof lists the digit pairs checked and the gaps they cover: a pair
+    that passes covers every gap 1..k-1, and a pair that fails does so
+    already at gap 1.
     """
     k = m.k
     s = m.digit_sum
+    t = class_modulus(s, k)
     present = m.present_digits
-    pow10 = [pow(10, i, s) for i in range(k)]
+    gaps = tuple(range(1, k)) if len(present) > 1 else ()
     pairs = []
-    gaps = []
-    for pi in range(len(present)):
-        for pj in range(pi + 1, len(present)):
-            v, u = present[pi], present[pj]
+    for i, v in enumerate(present):
+        for u in present[i + 1:]:
             pairs.append((u, v))
-            for d in range(1, k):
-                if d not in gaps:
-                    gaps.append(d)
-                for i in range(k - d):
-                    if (u - v) * (pow10[i + d] - pow10[i]) % s:
-                        return False, CriterionProof(
-                            digit_pairs_checked=tuple(pairs),
-                            position_gaps_checked=tuple(gaps),
-                            base_residue=-1,
-                        )
+            if (u - v) % t:
+                return False, CriterionProof(
+                    digit_pairs_checked=tuple(pairs),
+                    position_gaps_checked=gaps if len(pairs) > 1 else (1,),
+                    base_residue=-1,
+                )
     base = value_mod(m.canonical, s)
     return base == 0, CriterionProof(
         digit_pairs_checked=tuple(pairs),
-        position_gaps_checked=tuple(gaps),
+        position_gaps_checked=gaps,
         base_residue=base,
     )
 

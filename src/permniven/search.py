@@ -6,18 +6,22 @@ only on the class.  Stage 1 scans zero-free multisets (digits 1..9); stage
 2 augments known shorter zero-free classes with zeros and re-verifies each
 augmentation, because padding does not automatically preserve membership.
 
-Scanning uses a congruence fast path: for digit sum s and width k, every
-present digit pair (u, v) must satisfy u == v (mod s / gcd(s, 10^d - 1))
-for every positional gap d, which collapses to a single modulus
-T = lcm_d s/gcd(s, 10^d - 1); survivors then face the full pairwise
-criterion before a record is issued.  The fast path agrees with the brute
-oracle on every multiset with k <= 6 and on large random samples beyond
-(see the test suite), but records are never issued on its word alone.
+The scan is sum-first and visits only candidates.  By the congruence
+criterion (``orbits.is_pinn_criterion``), a multiset of width k and digit
+sum s is a PINN class exactly when all its present digits are congruent
+modulo T = ``class_modulus(s, k)`` = s / gcd(s, 9) and its canonical
+arrangement is divisible by s.  So for each digit sum the scan enumerates
+just the multisets drawn from one residue class mod T that add up to s,
+bounding each digit's count by what the remaining digits can still sum to,
+and hands them to ``make_record``, whose criterion keeps those with a
+canonical residue of zero.  Above s = 81, T exceeds 9, every residue class
+is a single digit, and only repdigits remain.  The space covered is still
+every multiset, and ``multisets_scanned`` reports its size.
 
-Parallel scans split the enumeration index range into contiguous chunks;
-each worker re-enumerates its slice independently, so results are a pure
-function of (k, chunk boundaries) and reports are byte-identical across
-worker counts once the elapsed field is excluded.
+Parallel scans split the digit-sum range into contiguous shards, one per
+worker, all running the same kernel; records are sorted by canonical form
+afterwards, so reports are byte-identical across worker counts once the
+elapsed field is excluded.
 """
 from __future__ import annotations
 
@@ -25,21 +29,19 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import combinations_with_replacement, islice
-from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .digits import DigitMultiset, multiset_count
 from .orbits import (
     DEFAULT_ORBIT_BUDGET,
     PinnRecord,
-    is_pinn_criterion,
+    class_modulus,
+    make_record,
     orbit,
 )
 
 __all__ = [
     "CENSUS_MAX",
-    "STAGE1_MAX_K",
     "CensusResult",
     "MissingLowerCatalog",
     "SearchConfig",
@@ -52,7 +54,6 @@ __all__ = [
     "search_stage2",
 ]
 
-STAGE1_MAX_K = 20  # stage-1 scan cap; C(28,8) multisets is the practical edge
 CENSUS_MAX = 10**7
 
 
@@ -94,101 +95,88 @@ class SearchReport:
 
 # --- scan kernel ----------------------------------------------------------------
 
-def _gap_modulus(s: int, k: int) -> int:
-    """All present digits must be congruent modulo this value."""
-    t = 1
-    for d in range(1, k):
-        t = lcm(t, s // gcd(s, (pow(10, d, s) - 1) % s))
-    return t
-
-
-def _scan_chunk(
-    k: int, start: int, stop: int, allow_zero: bool, exclude_repdigits: bool
-) -> list[tuple[int, ...]]:
-    """Fast-path survivors in slice [start, stop) of the enumeration.
-
-    Returns digit-count tuples in enumeration order; final verification
-    happens in the caller.
-    """
-    digits = range(0 if allow_zero else 1, 10)
-    t_cache: dict[int, int] = {}
+def _class_members(digits: tuple[int, ...], k: int, s: int) -> list[tuple[int, ...]]:
+    """Digit-count tuples of the k-digit multisets over `digits` (ascending)
+    whose digit sum is s."""
     out = []
-    for combo in islice(combinations_with_replacement(digits, k), start, stop):
-        if combo[-1] == 0:  # ascending, so this is the all-zero multiset
-            continue
-        if exclude_repdigits and combo[0] == combo[-1]:
-            continue
-        s = sum(combo)
-        t = t_cache.get(s)
-        if t is None:
-            t = t_cache[s] = _gap_modulus(s, k)
-        lead = combo[-1] % t
-        if any(d % t != lead for d in set(combo)):
-            continue
-        v = 0
-        for d in reversed(combo):  # canonical arrangement is descending
-            v = (v * 10 + d) % s
-        if v:
-            continue
-        counts = [0] * 10
-        for d in combo:
-            counts[d] += 1
-        out.append(tuple(counts))
+    counts = [0] * 10
+    top = digits[-1]
+
+    def fill(i: int, n: int, rem: int) -> None:
+        d = digits[i]
+        if d == top:  # the last digit's count is forced
+            if d * n == rem:
+                counts[d] = n
+                out.append(tuple(counts))
+                counts[d] = 0
+            return
+        # c copies of d leave n - c digits from digits[i+1:], whose sum must
+        # lie between (n - c) * digits[i+1] and (n - c) * top
+        nxt = digits[i + 1]
+        lo = max(0, -((rem - n * nxt) // (nxt - d)))
+        hi = min(n, (n * top - rem) // (top - d))
+        for c in range(lo, hi + 1):
+            counts[d] = c
+            fill(i + 1, n - c, rem - c * d)
+        counts[d] = 0
+
+    fill(0, k, s)
     return out
 
 
-def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
-    edges = [i * total // chunks for i in range(chunks + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(chunks)]
+def _class_candidates(
+    k: int, s_lo: int, s_hi: int, allow_zero: bool, exclude_repdigits: bool
+) -> list[tuple[int, ...]]:
+    """Digit-count tuples of the k-digit multisets with digit sum s in
+    [s_lo, s_hi] whose present digits share one residue class modulo
+    class_modulus(s, k)."""
+    first = 0 if allow_zero else 1
+    out = []
+    for s in range(s_lo, s_hi + 1):
+        t = class_modulus(s, k)
+        if t > 9:  # every residue class is a single digit
+            classes = [(s // k,)] if s % k == 0 else []
+        else:
+            classes = [tuple(range(r if r >= first else r + t, 10, t)) for r in range(t)]
+        for digits in classes:
+            for counts in _class_members(digits, k, s):
+                if not (exclude_repdigits and counts.count(0) == 9):
+                    out.append(counts)
+    return out
 
 
 def _scan(cfg: SearchConfig, allow_zero: bool) -> tuple[list[PinnRecord], int]:
-    # Chunk over the raw enumeration, which still contains the all-zero
-    # combination when zeros are allowed; _scan_chunk drops it.
-    total = multiset_count(cfg.k, allow_zero=allow_zero) + (1 if allow_zero else 0)
-    bounds = _chunk_bounds(total, cfg.parallel_chunks)
+    k = cfg.k
+    s_lo = 1 if allow_zero else k
+    span = 9 * k - s_lo + 1
+    edges = [s_lo + i * span // cfg.parallel_chunks for i in range(cfg.parallel_chunks + 1)]
+    shards = [
+        (k, edges[i], edges[i + 1] - 1, allow_zero, cfg.exclude_repdigits)
+        for i in range(cfg.parallel_chunks)
+    ]
     if cfg.parallel_chunks == 1:
-        survivor_lists = [
-            _scan_chunk(cfg.k, 0, total, allow_zero, cfg.exclude_repdigits)
-        ]
+        candidate_lists = [_class_candidates(*shards[0])]
     else:
         with ProcessPoolExecutor(max_workers=cfg.parallel_chunks) as pool:
-            futures = [
-                pool.submit(
-                    _scan_chunk, cfg.k, lo, hi, allow_zero, cfg.exclude_repdigits
-                )
-                for lo, hi in bounds
-            ]
-            survivor_lists = [f.result() for f in futures]
+            futures = [pool.submit(_class_candidates, *shard) for shard in shards]
+            candidate_lists = [f.result() for f in futures]
     records = []
-    for counts in (c for chunk in survivor_lists for c in chunk):
-        m = DigitMultiset(counts)
-        ok, proof = is_pinn_criterion(m)
-        if not ok:
-            raise RuntimeError(
-                f"fast path passed {m.canonical} but the criterion rejects it"
-            )
-        records.append(
-            PinnRecord(
-                multiset=m,
-                canonical=m.canonical,
-                digit_sum=m.digit_sum,
-                orbit_size=m.orbit_size,
-                proof=proof,
-            )
-        )
+    for chunk in candidate_lists:
+        for counts in chunk:
+            # the criterion keeps a candidate when s divides its canonical value
+            rec = make_record(DigitMultiset(counts))
+            if rec is not None:
+                records.append(rec)
     records.sort(key=lambda r: r.canonical)
-    return records, multiset_count(cfg.k, allow_zero=allow_zero)
+    return records, multiset_count(k, allow_zero=allow_zero)
 
 
 # --- stages ---------------------------------------------------------------------
 
 def search_stage1(cfg: SearchConfig) -> SearchReport:
-    """Scan all C(k+8,8) zero-free k-digit multisets."""
+    """Find every PINN class among the C(k+8,8) zero-free k-digit multisets."""
     if cfg.allow_zero:
         raise ValueError("stage 1 requires allow_zero=False")
-    if cfg.k > STAGE1_MAX_K:
-        raise ValueError(f"stage 1 is capped at k = {STAGE1_MAX_K}")
     t0 = time.monotonic()
     records, scanned = _scan(cfg, allow_zero=False)
     return SearchReport(
@@ -235,17 +223,9 @@ def search_stage2(cfg: SearchConfig, lower: Iterable[PinnRecord]) -> SearchRepor
         m = rec.multiset.with_zeros(k - rec.multiset.k)
         if cfg.exclude_repdigits and m.is_repdigit:
             continue
-        ok, proof = is_pinn_criterion(m)
-        if ok:
-            augmented.append(
-                PinnRecord(
-                    multiset=m,
-                    canonical=m.canonical,
-                    digit_sum=m.digit_sum,
-                    orbit_size=m.orbit_size,
-                    proof=proof,
-                )
-            )
+        padded = make_record(m)
+        if padded is not None:
+            augmented.append(padded)
     records = sorted(
         list(stage1.records) + augmented, key=lambda r: r.canonical
     )

@@ -46,7 +46,13 @@ def test_check_refuses_value_list_formats(capsys):
 
 def test_search_text_and_bfile(capsys):
     assert run(["search", "--k", "2"]) == 0
-    assert "16 canonical multisets, 23 values" in capsys.readouterr().out
+    first = capsys.readouterr()
+    assert "16 canonical multisets, 23 values" in first.out
+    # the wall time goes to stderr, so stdout repeats byte for byte
+    assert first.out.splitlines()[-1] == "scanned 54 multisets (stage 1: 7, stage 2: 9)"
+    assert first.err.startswith("search took ")
+    assert run(["search", "--k", "2"]) == 0
+    assert capsys.readouterr().out == first.out
     assert run(["search", "--k", "2", "--format", "bfile"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "1 10"

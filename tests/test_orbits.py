@@ -97,6 +97,23 @@ def test_criterion_proof_failure_modes():
     assert not ok and proof.base_residue == 11 % 2
 
 
+@pytest.mark.parametrize(
+    "digits, pairs, gaps, base",
+    [
+        ("13", ((3, 1),), (1,), -1),  # the first pair fails, at gap 1
+        ("651", ((5, 1), (6, 1)), (1, 2), -1),  # a later pair fails
+        ("11", (), (), 1),  # one distinct digit: nothing to pair
+        ("2448", ((4, 2), (8, 2), (8, 4)), (1, 2, 3), 0),
+    ],
+)
+def test_criterion_proof_shape(digits, pairs, gaps, base):
+    ok, proof = is_pinn_criterion(DigitMultiset.from_string(digits))
+    assert proof == CriterionProof(
+        digit_pairs_checked=pairs, position_gaps_checked=gaps, base_residue=base
+    )
+    assert ok == (base == 0)
+
+
 def test_budget_gate():
     big = DigitMultiset.from_string("1234567890123")
     with pytest.raises(BudgetExceeded):

@@ -1,16 +1,15 @@
 """Two-stage multiset search, census, and determinism."""
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
 from permniven.catalogs import NN2_VALUES
 from permniven.digits import DigitMultiset
-from permniven.orbits import orbit
+from permniven.orbits import is_pinn_bruteforce, orbit
 from permniven.search import (
     CENSUS_MAX,
-    STAGE1_MAX_K,
     MissingLowerCatalog,
     SearchConfig,
     SearchReport,
@@ -74,11 +73,35 @@ def test_stage1_is_the_zero_free_slice():
     assert stage1.stage2_count == 0
 
 
-def test_stage1_rejects_zero_allowing_config_and_large_k():
+def test_stage1_rejects_zero_allowing_config():
     with pytest.raises(ValueError):
         search_stage1(SearchConfig(k=4))
-    with pytest.raises(ValueError):
-        search_stage1(SearchConfig(k=STAGE1_MAX_K + 1, allow_zero=False))
+
+
+def test_stage1_beyond_twenty_digits():
+    # Zero-free classes do not stop at k = 20: width 21 has three, each
+    # confirmed by dividing every arrangement.
+    report = search_stage1(SearchConfig(k=21, allow_zero=False))
+    assert [(r.canonical, r.digit_sum, r.orbit_size) for r in report.records] == [
+        ("44" + "1" * 19, 27, 210),
+        ("7" + "1" * 20, 27, 21),
+        ("88" + "2" * 19, 54, 210),
+    ]
+    for rec in report.records:
+        assert is_pinn_bruteforce(rec.multiset)[0], rec.canonical
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_search_is_complete_against_bruteforce(k):
+    # The scan and the criterion share one congruence argument, so the
+    # reference here is orbit enumeration over every multiset.
+    want = set()
+    for combo in combinations_with_replacement(range(10), k):
+        if any(combo):
+            m = DigitMultiset.from_digits(combo)
+            if is_pinn_bruteforce(m)[0]:
+                want.add(m)
+    assert {r.multiset for r in search(SearchConfig(k=k)).records} == want
 
 
 def test_stage2_validates_the_lower_catalog():
