@@ -1,11 +1,11 @@
 """Exhaustive search: every PINN of a given width, as canonical classes.
 
 The search space is digit multisets, not numbers: C(k+9,9) multisets at
-width k stand in for 9*10^(k-1) integers.  Stage 1 finds the zero-free
-classes; stage 2 pads every shorter zero-free class with zeros and
-re-verifies, which is where numbers like 7200 come from.
+width k stand in for 9*10^(k-1) integers.  One scan covers them all; the
+classes with a zero turn out to be shorter zero-free classes padded with
+zeros, which is where numbers like 7200 come from.
 """
-from permniven import SearchConfig, report_values, search, search_stage1
+from permniven import SearchConfig, make_record, report_values, search
 
 for k in range(1, 7):
     report = search(SearchConfig(k=k))
@@ -17,18 +17,28 @@ for k in range(1, 7):
 
 print("\nall two-digit PINNs:", report_values(search(SearchConfig(k=2))))
 
-stage1 = search_stage1(SearchConfig(k=4, allow_zero=False))
+zero_free = search(SearchConfig(k=4, allow_zero=False))
 print("\nzero-free 4-digit classes:")
-for rec in stage1.records:
+for rec in zero_free.records:
     print(f"  {rec.canonical}  digit sum {rec.digit_sum}, orbit {rec.orbit_size}")
 
-# The two-stage split is an optimization with a safety net: the full scan
-# re-derives the same class set or the search refuses to return.
-report = search(SearchConfig(k=5, exhaustive_zero_scan=True))
-print(f"\nk=5 cross-checked against the full scan: {len(report.records)} classes")
+# Padding is not free: each padded class must pass the criterion again.
+# Those that do are exactly the k=5 classes with a zero.
+report = search(SearchConfig(k=5))
+padded = set()
+for j in range(1, 5):
+    for rec in search(SearchConfig(k=j, allow_zero=False)).records:
+        m = rec.multiset.with_zeros(5 - j)
+        if make_record(m) is not None:
+            padded.add(m)
+with_zero = {r.multiset for r in report.records if r.multiset.counts[0]}
+print(
+    f"\nk=5: {len(with_zero)} classes with a zero, all padded shorter classes: "
+    f"{padded == with_zero}"
+)
 
 # Zero-free PINNs thin out fast but do not vanish: width 12 has five.
 for k in (10, 11, 12):
-    rep = search_stage1(SearchConfig(k=k, allow_zero=False, exclude_repdigits=True))
+    rep = search(SearchConfig(k=k, allow_zero=False, exclude_repdigits=True))
     names = [r.canonical for r in rep.records] or ["none"]
     print(f"zero-free non-repdigit classes at k={k}: {', '.join(names)}")

@@ -48,7 +48,6 @@ from .repdigits import (
 from .search import (
     CENSUS_MAX,
     SearchConfig,
-    TwoStageIncomplete,
     census,
     report_values,
     search,
@@ -156,9 +155,6 @@ def _cmd_search(ns: argparse.Namespace) -> int:
         k=ns.k,
         allow_zero=not ns.no_zeros,
         exclude_repdigits=ns.exclude_repdigits,
-        orbit_budget=ns.budget,
-        parallel_chunks=ns.threads,
-        exhaustive_zero_scan=ns.exhaustive_zero_scan,
     )
     report = search(cfg)
     if ns.format == "json":
@@ -347,7 +343,7 @@ def _cmd_census(ns: argparse.Namespace) -> int:
     if not 1 <= ns.max <= CENSUS_MAX:
         raise UsageError(f"--max must be in 1..{CENSUS_MAX}")
     try:
-        result = census(ns.max, orbit_budget=ns.budget)
+        result = census(ns.max)
     except AssertionError as exc:
         print(f"census invariant violated: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -408,12 +404,6 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
         help="output format (bfile only for value lists)",
     )
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=default(1),
-        help="parallel workers for searches, sharded by digit sum (default 1)",
-    )
-    parser.add_argument(
         "--budget",
         type=int,
         default=default(DEFAULT_ORBIT_BUDGET),
@@ -436,12 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="all k-digit PINNs by canonical multiset")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--no-zeros", action="store_true", help="stage 1 only")
+    p.add_argument("--no-zeros", action="store_true", help="zero-free classes only")
     p.add_argument("--exclude-repdigits", action="store_true")
     p.add_argument(
         "--exhaustive-zero-scan",
         action="store_true",
-        help="cross-check the two-stage result against a full scan",
+        help="accepted for compatibility; selects nothing, every search is the full scan",
     )
     _add_common(p, top=False)
     p.set_defaults(func=_cmd_search)
@@ -506,7 +496,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (UsageError, NotCoprime, KTooSmall, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TwoStageIncomplete, FactorizationTimeout, BudgetExceeded) as exc:
+    except (FactorizationTimeout, BudgetExceeded) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

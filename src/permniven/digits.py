@@ -194,10 +194,6 @@ class DigitMultiset:
         return self.canonical
 
 
-def digit_sum(m: DigitMultiset) -> int:
-    return m.digit_sum
-
-
 def multiset_count(k: int, allow_zero: bool = True) -> int:
     """Number of k-digit multisets naming a positive number.
 

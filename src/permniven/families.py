@@ -7,8 +7,7 @@ is a free parameter, so each family yields PINN classes at arbitrarily
 large k.  verify_family re-proves the claim instance by instance instead
 of trusting it.
 
-Verification here is single-process: the criterion check is quadratic in k
-and the member lists are tiny, so pool startup would dominate any gain.
+The criterion check is O(pairs + k) and the member lists are tiny.
 The tested range is k <= 64; nothing in the code caps k itself.
 """
 from __future__ import annotations

@@ -1,10 +1,9 @@
-"""Two-stage exhaustive PINN search over digit multisets.
+"""Exhaustive PINN search over digit multisets.
 
 The search space is multisets, not numbers: the 10^k integers of width k
 collapse to C(k+9,9) digit-content classes, and PINN membership depends
-only on the class.  Stage 1 scans zero-free multisets (digits 1..9); stage
-2 augments known shorter zero-free classes with zeros and re-verifies each
-augmentation, because padding does not automatically preserve membership.
+only on the class.  One serial scan covers every k-digit multiset, or only
+the zero-free ones (digits 1..9) when zeros are excluded.
 
 The scan is sum-first and visits only candidates.  By the congruence
 criterion (``orbits.is_pinn_criterion``), a multiset of width k and digit
@@ -18,51 +17,31 @@ canonical residue of zero.  Above s = 81, T exceeds 9, every residue class
 is a single digit, and only repdigits remain.  The space covered is still
 every multiset, and ``multisets_scanned`` reports its size.
 
-Parallel scans split the digit-sum range into contiguous shards, one per
-worker, all running the same kernel; records are sorted by canonical form
-afterwards, so reports are byte-identical across worker counts once the
-elapsed field is excluded.
+A report's ``stage1_count`` counts its zero-free classes and
+``stage2_count`` its classes with a zero; the names are kept for the JSON
+schema.
 """
 from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .digits import DigitMultiset, multiset_count
-from .orbits import (
-    DEFAULT_ORBIT_BUDGET,
-    PinnRecord,
-    class_modulus,
-    make_record,
-    orbit,
-)
+from .orbits import PinnRecord, class_modulus, make_record, orbit
 
 __all__ = [
     "CENSUS_MAX",
     "CensusResult",
-    "MissingLowerCatalog",
     "SearchConfig",
     "SearchReport",
-    "TwoStageIncomplete",
     "census",
     "report_values",
     "search",
-    "search_stage1",
-    "search_stage2",
 ]
 
 CENSUS_MAX = 10**7
-
-
-class MissingLowerCatalog(Exception):
-    pass
-
-
-class TwoStageIncomplete(Exception):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,17 +49,10 @@ class SearchConfig:
     k: int
     allow_zero: bool = True
     exclude_repdigits: bool = False
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET
-    parallel_chunks: int = 1
-    exhaustive_zero_scan: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.orbit_budget < 1:
-            raise ValueError("orbit_budget must be >= 1")
-        if self.parallel_chunks < 1:
-            raise ValueError("parallel_chunks must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,15 +96,14 @@ def _class_members(digits: tuple[int, ...], k: int, s: int) -> list[tuple[int, .
     return out
 
 
-def _class_candidates(
-    k: int, s_lo: int, s_hi: int, allow_zero: bool, exclude_repdigits: bool
-) -> list[tuple[int, ...]]:
-    """Digit-count tuples of the k-digit multisets with digit sum s in
-    [s_lo, s_hi] whose present digits share one residue class modulo
-    class_modulus(s, k)."""
-    first = 0 if allow_zero else 1
-    out = []
-    for s in range(s_lo, s_hi + 1):
+def search(cfg: SearchConfig) -> SearchReport:
+    """Every PINN class among the k-digit multisets, zero-free ones only
+    when allow_zero is off, in canonical order."""
+    t0 = time.monotonic()
+    k = cfg.k
+    first = 0 if cfg.allow_zero else 1
+    records = []
+    for s in range(1 if cfg.allow_zero else k, 9 * k + 1):
         t = class_modulus(s, k)
         if t > 9:  # every residue class is a single digit
             classes = [(s // k,)] if s % k == 0 else []
@@ -140,138 +111,22 @@ def _class_candidates(
             classes = [tuple(range(r if r >= first else r + t, 10, t)) for r in range(t)]
         for digits in classes:
             for counts in _class_members(digits, k, s):
-                if not (exclude_repdigits and counts.count(0) == 9):
-                    out.append(counts)
-    return out
-
-
-def _scan(cfg: SearchConfig, allow_zero: bool) -> tuple[list[PinnRecord], int]:
-    k = cfg.k
-    s_lo = 1 if allow_zero else k
-    span = 9 * k - s_lo + 1
-    edges = [s_lo + i * span // cfg.parallel_chunks for i in range(cfg.parallel_chunks + 1)]
-    shards = [
-        (k, edges[i], edges[i + 1] - 1, allow_zero, cfg.exclude_repdigits)
-        for i in range(cfg.parallel_chunks)
-    ]
-    if cfg.parallel_chunks == 1:
-        candidate_lists = [_class_candidates(*shards[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.parallel_chunks) as pool:
-            futures = [pool.submit(_class_candidates, *shard) for shard in shards]
-            candidate_lists = [f.result() for f in futures]
-    records = []
-    for chunk in candidate_lists:
-        for counts in chunk:
-            # the criterion keeps a candidate when s divides its canonical value
-            rec = make_record(DigitMultiset(counts))
-            if rec is not None:
-                records.append(rec)
+                if cfg.exclude_repdigits and counts.count(0) == 9:
+                    continue
+                # the criterion keeps a candidate when s divides its canonical value
+                rec = make_record(DigitMultiset(counts))
+                if rec is not None:
+                    records.append(rec)
     records.sort(key=lambda r: r.canonical)
-    return records, multiset_count(k, allow_zero=allow_zero)
-
-
-# --- stages ---------------------------------------------------------------------
-
-def search_stage1(cfg: SearchConfig) -> SearchReport:
-    """Find every PINN class among the C(k+8,8) zero-free k-digit multisets."""
-    if cfg.allow_zero:
-        raise ValueError("stage 1 requires allow_zero=False")
-    t0 = time.monotonic()
-    records, scanned = _scan(cfg, allow_zero=False)
-    return SearchReport(
-        k=cfg.k,
-        records=tuple(records),
-        stage1_count=len(records),
-        stage2_count=0,
-        multisets_scanned=scanned,
-        elapsed=time.monotonic() - t0,
-    )
-
-
-def search_stage2(cfg: SearchConfig, lower: Iterable[PinnRecord]) -> SearchReport:
-    """Re-verify zero augmentations of shorter zero-free classes and merge
-    them with a fresh stage-1 scan at width k.
-
-    Every augmentation is re-tested: padding a PINN class with zeros can
-    break it (the new digit pairs (u, 0) must also satisfy the criterion),
-    so inherited membership is never assumed.
-    """
-    if not cfg.allow_zero:
-        raise ValueError("stage 2 requires allow_zero=True")
-    t0 = time.monotonic()
-    k = cfg.k
-    lower = list(lower)
-    lengths = set()
-    for rec in lower:
-        j = rec.multiset.k
-        if rec.multiset.counts[0]:
-            raise ValueError(f"lower record {rec.canonical} contains zeros")
-        if j >= k:
-            raise ValueError(f"lower record {rec.canonical} is not shorter than k={k}")
-        lengths.add(j)
-    # Lengths 1..9 all have zero-free classes, so a gap there means the
-    # caller's catalog is incomplete.  Beyond 9 an absent length is
-    # legitimate (most have no zero-free classes at all).
-    missing = [j for j in range(1, min(k - 1, 9) + 1) if j not in lengths]
-    if missing:
-        raise MissingLowerCatalog(f"no zero-free classes for lengths {missing}")
-
-    stage1 = search_stage1(replace(cfg, allow_zero=False))
-    augmented = []
-    for rec in sorted(lower, key=lambda r: (r.multiset.k, r.canonical)):
-        m = rec.multiset.with_zeros(k - rec.multiset.k)
-        if cfg.exclude_repdigits and m.is_repdigit:
-            continue
-        padded = make_record(m)
-        if padded is not None:
-            augmented.append(padded)
-    records = sorted(
-        list(stage1.records) + augmented, key=lambda r: r.canonical
-    )
+    zero_free = sum(1 for r in records if not r.multiset.counts[0])
     return SearchReport(
         k=k,
         records=tuple(records),
-        stage1_count=stage1.stage1_count,
-        stage2_count=len(augmented),
-        multisets_scanned=stage1.multisets_scanned + len(lower),
+        stage1_count=zero_free,
+        stage2_count=len(records) - zero_free,
+        multisets_scanned=multiset_count(k, allow_zero=cfg.allow_zero),
         elapsed=time.monotonic() - t0,
     )
-
-
-def search(cfg: SearchConfig) -> SearchReport:
-    """Full search at width k: stage 1, or both stages when zeros are in.
-
-    With exhaustive_zero_scan set, additionally scans every k-digit
-    multiset outright and demands set equality with the two-stage result;
-    a mismatch raises TwoStageIncomplete naming the disputed classes.
-    """
-    if not cfg.allow_zero:
-        return search_stage1(cfg)
-    t0 = time.monotonic()
-    lower = []
-    for j in range(1, cfg.k):
-        sub = replace(cfg, k=j, allow_zero=False, exclude_repdigits=False)
-        lower.extend(search_stage1(sub).records)
-    report = search_stage2(cfg, lower)
-    if cfg.exhaustive_zero_scan:
-        full_records, full_scanned = _scan(cfg, allow_zero=True)
-        if cfg.exclude_repdigits:
-            full_records = [
-                r for r in full_records if not r.multiset.is_repdigit
-            ]
-        got = {r.multiset for r in report.records}
-        want = {r.multiset for r in full_records}
-        if got != want:
-            diff = sorted(m.canonical for m in got ^ want)
-            raise TwoStageIncomplete(
-                f"two-stage and full scans disagree on: {diff}"
-            )
-        report = replace(
-            report,
-            multisets_scanned=report.multisets_scanned + full_scanned,
-        )
-    return replace(report, elapsed=time.monotonic() - t0)
 
 
 # --- value expansion and census ---------------------------------------------------
@@ -308,7 +163,7 @@ def _niven_count_upto(max_value: int) -> int:
     return count
 
 
-def census(max_value: int, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> CensusResult:
+def census(max_value: int) -> CensusResult:
     """Count PINNs and Niven numbers in [1, max_value], with the PINN
     digit-sum histogram.
 
@@ -322,7 +177,7 @@ def census(max_value: int, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> CensusRe
     pinn_count = 0
     histogram: Counter[int] = Counter()
     for k in range(1, top_k + 1):
-        report = search(SearchConfig(k=k, allow_zero=True, orbit_budget=orbit_budget))
+        report = search(SearchConfig(k=k))
         for rec in report.records:
             m = rec.multiset
             nonzero = m.k - m.counts[0]

@@ -2,7 +2,7 @@
 
 Search reports serialize without the elapsed field; every other field is
 a pure function of the inputs, so two runs of the same query produce
-byte-identical output regardless of worker count.  parse(serialize(r))
+byte-identical output.  parse(serialize(r))
 reconstructs a report equal to r (report equality ignores elapsed).
 """
 from __future__ import annotations

