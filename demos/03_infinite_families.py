@@ -21,8 +21,8 @@ for tpl in TEMPLATES:
     sample = inst.members[0].canonical
     print(f"{tpl.id:6}  {tpl.min_k:5}  {len(inst.members):7}  {sample}")
 
-# Every member re-proves at an arbitrary width; small orbits are also
-# ground through the brute-force oracle.
+# Every member re-proves at an arbitrary width: the congruence criterion
+# and the residue-counting DP, which never enumerates the orbit, both agree.
 inst = instantiate(template("ke"), 20)
 results = verify_family(inst)
 print(f"\nke at k=20: {sum(ok for _, ok, _ in results)}/{len(results)} verified")

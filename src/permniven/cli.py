@@ -391,23 +391,24 @@ def _cmd_probe(ns: argparse.Namespace) -> int:
 # --- parser --------------------------------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
-    # The same flags exist on the root parser and on every subcommand, so
-    # they may be given in either position; the subcommand copy suppresses
-    # its default to avoid clobbering a value parsed at the root.
-    def default(v: Any) -> Any:
-        return v if top else argparse.SUPPRESS
-
+    # --format exists on the root parser and on every subcommand, so it may
+    # be given in either position; the subcommand copy suppresses its
+    # default to avoid clobbering a value parsed at the root.
     parser.add_argument(
         "--format",
         choices=("text", "json", "csv", "bfile"),
-        default=default("text"),
+        default="text" if top else argparse.SUPPRESS,
         help="output format (bfile only for value lists)",
     )
+
+
+def _add_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
         type=int,
-        default=default(DEFAULT_ORBIT_BUDGET),
-        help="orbit enumeration budget (default 10^7)",
+        default=DEFAULT_ORBIT_BUDGET,
+        help="cap on the orbit size brute-forced by check and on the "
+        "residue-count table cross-checked by families --verify (default 10^7)",
     )
 
 
@@ -421,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="PINN verdict with proof or witness")
     p.add_argument("number", help="digits or run-compressed form like 1_(26)01")
+    _add_budget(p)
     _add_common(p, top=False)
     p.set_defaults(func=_cmd_check)
 
@@ -439,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("families", help="instantiate the ten infinite families")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="re-prove every member")
+    _add_budget(p)
     _add_common(p, top=False)
     p.set_defaults(func=_cmd_families)
 

@@ -4,7 +4,8 @@ A multiset's orbit is the set of distinct digit arrangements.  Arrangements
 with leading zeros are kept in the orbit and judged at their normalized
 value, which equals the un-normalized value, so the verdict is unaffected.
 
-Two predicates decide whether every orbit member is a Niven number:
+Three deciders settle whether every orbit member is a Niven number, each by
+its own reasoning:
 
 * ``is_pinn_bruteforce`` walks the orbit in lexicographic order and divides.
 * ``is_pinn_criterion`` checks a pair of congruence conditions that are
@@ -13,11 +14,15 @@ Two predicates decide whether every orbit member is a Niven number:
   condition (b) anchors that class at zero.  Condition (a) reduces to all
   present digits agreeing modulo ``class_modulus(s, k)``, which the search
   scan uses to enumerate candidate classes directly.
+* ``is_pinn_residue_count`` counts the arrangements in each residue class
+  mod the digit sum with a DP over (unused digit counts, residue), so it
+  never enumerates the orbit; its cost is ``residue_table_size(m)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import product
+from math import gcd, prod
 from typing import Iterable, Iterator
 
 from .digits import DigitMultiset, value_mod
@@ -33,9 +38,11 @@ __all__ = [
     "is_pinn",
     "is_pinn_bruteforce",
     "is_pinn_criterion",
+    "is_pinn_residue_count",
     "make_record",
     "orbit",
     "orbit_closure_check",
+    "residue_table_size",
     "values_permutation_closed",
 ]
 
@@ -43,7 +50,7 @@ DEFAULT_ORBIT_BUDGET = 10**7
 
 
 class BudgetExceeded(Exception):
-    """Orbit too large for exhaustive enumeration; use the criterion path."""
+    """Orbit or residue table too large for the budget; use the criterion."""
 
 
 def _next_permutation(a: list) -> bool:
@@ -172,6 +179,78 @@ def is_pinn_criterion(m: DigitMultiset) -> tuple[bool, CriterionProof]:
         position_gaps_checked=gaps,
         base_residue=base,
     )
+
+
+def residue_table_size(m: DigitMultiset) -> int:
+    """Entries of ``is_pinn_residue_count``'s table: one per state, that is
+    per sub-multiset of unused digits and residue mod the digit sum."""
+    return prod(c + 1 for c in m.counts) * m.digit_sum
+
+
+def is_pinn_residue_count(
+    m: DigitMultiset, budget: int = DEFAULT_ORBIT_BUDGET
+) -> tuple[bool, FailureWitness | None]:
+    """Count the arrangements of m in each residue class mod its digit sum s.
+
+    Positions fill from the most significant digit.  A state is the vector
+    of digit counts still unused plus the residue mod s of what the digits
+    placed so far add to the value; with u digits unused, placing d adds
+    d * 10^(u-1).  Each state holds how many prefixes reach it with each
+    residue.  m is a PINN iff all orbit_size arrangements end at residue 0.
+    Otherwise the table is walked back from a non-zero final residue, which
+    yields an arrangement with that residue as the witness.  Raises
+    BudgetExceeded when ``residue_table_size(m)`` exceeds the budget.
+    """
+    size = residue_table_size(m)
+    if size > budget:
+        raise BudgetExceeded(f"residue table {size} exceeds budget {budget}")
+    s = m.digit_sum
+    orbit_size = m.orbit_size
+    digits = m.present_digits[::-1]
+    radices = [m.counts[d] + 1 for d in digits]
+    strides = [prod(radices[i + 1:]) for i in range(len(digits))]
+    powers = [pow(10, e, s) for e in range(m.k)]
+    # The unused counts index the states in mixed radix, the first digit
+    # most significant.  Placing a digit lowers the index, so a descending
+    # sweep reaches each state after every state that leads to it.  A
+    # state's residue counts are packed into one int, `width` bits per
+    # residue: adding d * 10^(u-1) rotates the slots, and no count exceeds
+    # the orbit size.
+    width = orbit_size.bit_length()
+    low = [(1 << (width * j)) - 1 for j in range(s + 1)]
+    top = prod(radices) - 1
+    table = [0] * (top + 1)
+    table[top] = 1
+    sweep = product(*(range(c - 1, -1, -1) for c in radices))
+    for idx, unused in zip(range(top, 0, -1), sweep):
+        packed = table[idx]
+        power = powers[sum(unused) - 1]
+        for d, u, stride in zip(digits, unused, strides):
+            if u:
+                a = d * power % s
+                table[idx - stride] += (
+                    ((packed & low[s - a]) << (width * a)) | (packed >> (width * (s - a)))
+                )
+    counts = [table[0] >> (width * r) & low[1] for r in range(s)]
+    if sum(counts) != orbit_size:
+        raise ArithmeticError(f"residue counts sum to {sum(counts)}, not {orbit_size}")
+    if counts[0] == orbit_size:
+        return True, None
+    residue = next(r for r in range(1, s) if counts[r])
+    placed = []
+    idx, r = 0, residue
+    while idx != top:
+        unused = [idx // stride % radix for stride, radix in zip(strides, radices)]
+        power = powers[sum(unused)]
+        for d, u, stride, radix in zip(digits, unused, strides, radices):
+            prev = (r - d * power) % s
+            # d was placed last if a copy of it is used and the state with
+            # that copy unused reaches the residue before it
+            if u < radix - 1 and table[idx + stride] >> (width * prev) & low[1]:
+                placed.append(str(d))
+                idx, r = idx + stride, prev
+                break
+    return False, FailureWitness(permutation="".join(reversed(placed)), residue=residue)
 
 
 def is_pinn(m: DigitMultiset, budget: int = DEFAULT_ORBIT_BUDGET) -> bool:

@@ -86,6 +86,15 @@ def test_families_listing_and_verify(capsys):
     assert "verified: all 87 members" in capsys.readouterr().out
 
 
+def test_budget_only_where_it_is_read(capsys):
+    assert run(["search", "--k", "6", "--budget", "1"]) == 2
+    assert run(["--budget", "1", "check", "2448"]) == 2
+    capsys.readouterr()
+    # a budget too small for any residue table leaves the criterion alone
+    assert run(["families", "--verify", "--k", "10", "--budget", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
 def test_families_below_minimum_width(capsys):
     assert run(["families", "--k", "9"]) == 2
     assert "k >= 10" in capsys.readouterr().err

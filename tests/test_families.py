@@ -8,6 +8,7 @@ from permniven.families import (
     FAMILY_IDS,
     KB_WITNESSES,
     TEMPLATES,
+    FamilyInstance,
     KTooSmall,
     catalog,
     instantiate,
@@ -16,7 +17,13 @@ from permniven.families import (
     verify_family,
     zero_augmentation_property,
 )
-from permniven.orbits import is_pinn_bruteforce
+from permniven.orbits import (
+    DEFAULT_ORBIT_BUDGET,
+    CriterionProof,
+    is_pinn_bruteforce,
+    is_pinn_residue_count,
+    residue_table_size,
+)
 
 MEMBER_COUNTS = dict(zip(FAMILY_IDS, (9, 7, 9, 8, 12, 13, 9, 7, 4, 9)))
 
@@ -48,8 +55,9 @@ def test_instantiate_rejects_short_widths():
 
 @pytest.mark.parametrize("k", [10, 11, 13, 17])
 def test_every_family_member_verifies(k):
-    # Small budget: the criterion still proves every member, the brute
-    # cross-check just skips the huge orbits to keep this test quick.
+    # The largest residue table at these widths has 7290 entries (k = 17),
+    # so even this budget, a hundredth of the default, cross-checks every
+    # member with the DP.
     for tpl in TEMPLATES:
         inst = instantiate(tpl, k)
         for m, ok, _proof in verify_family(inst, budget=10**5):
@@ -61,6 +69,23 @@ def test_verify_family_cross_checks_small_orbits():
     for m, ok, _proof in verify_family(inst):
         assert ok
         assert is_pinn_bruteforce(m)[0]
+
+
+def test_residue_count_proves_every_member_k10_to_k64():
+    for k in range(10, 65):
+        for tpl in TEMPLATES:
+            for m in instantiate(tpl, k).members:
+                # verify_family's gate: the DP runs at the default budget
+                assert residue_table_size(m) <= DEFAULT_ORBIT_BUDGET
+                assert is_pinn_residue_count(m) == (True, None), (tpl.id, k, m.canonical)
+
+
+def test_verify_family_rejects_a_non_pinn_member():
+    inst = FamilyInstance(template_id="x", k=2, members=(DigitMultiset.from_string("13"),))
+    for budget in (1, DEFAULT_ORBIT_BUDGET):
+        [(_m, ok, proof)] = verify_family(inst, budget)
+        # both deciders say no, so the criterion's proof stands
+        assert not ok and isinstance(proof, CriterionProof)
 
 
 def test_kb_witness_table():

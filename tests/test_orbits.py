@@ -1,12 +1,14 @@
-"""Orbit enumeration, the Niven test, and both PINN deciders."""
+"""Orbit enumeration, the Niven test, and the three PINN deciders."""
 from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from permniven.digits import DigitMultiset
+from permniven.digits import DigitMultiset, value_mod
 from permniven.orbits import (
     BudgetExceeded,
     CriterionProof,
@@ -16,9 +18,11 @@ from permniven.orbits import (
     is_pinn,
     is_pinn_bruteforce,
     is_pinn_criterion,
+    is_pinn_residue_count,
     make_record,
     orbit,
     orbit_closure_check,
+    residue_table_size,
     values_permutation_closed,
 )
 
@@ -88,6 +92,55 @@ def test_criterion_equals_bruteforce_up_to_k4():
                 assert proof.base_residue == 0
 
 
+def assert_is_witness(m: DigitMultiset, witness: FailureWitness) -> None:
+    assert sorted(witness.permutation) == sorted(m.canonical)
+    assert witness.residue != 0
+    assert value_mod(witness.permutation, m.digit_sum) == witness.residue
+
+
+def test_three_deciders_agree_up_to_k6():
+    seen = 0
+    for k in range(1, 7):
+        for combo in combinations_with_replacement(range(10), k):
+            if not any(combo):
+                continue
+            m = DigitMultiset.from_digits(combo)
+            ok, witness = is_pinn_residue_count(m)
+            assert ok == is_pinn_criterion(m)[0] == is_pinn_bruteforce(m)[0], m.canonical
+            if ok:
+                assert witness is None
+            else:
+                assert_is_witness(m, witness)
+            seen += 1
+    assert seen == 8001
+
+
+@st.composite
+def small_table_multisets(draw) -> DigitMultiset:
+    """Width at most 60: up to three nonzero digits plus zeros, which keeps
+    the DP table within reach while family-like members stay likely."""
+    counts = [0] * 10
+    for d in draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True)):
+        counts[d] = draw(st.integers(1, 20))
+    counts[0] = draw(st.integers(0, 60 - sum(counts)))
+    m = DigitMultiset(tuple(counts))
+    assume(residue_table_size(m) <= 10**6)
+    return m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_table_multisets())
+def test_residue_count_agrees_with_criterion(m):
+    ok, witness = is_pinn_residue_count(m)
+    assert ok == is_pinn_criterion(m)[0]
+    if m.orbit_size <= 10**4:
+        assert ok == is_pinn_bruteforce(m)[0]
+    if ok:
+        assert witness is None
+    else:
+        assert_is_witness(m, witness)
+
+
 def test_criterion_proof_failure_modes():
     # 13: the pair congruence itself fails.
     ok, proof = is_pinn_criterion(DigitMultiset.from_string("13"))
@@ -120,6 +173,11 @@ def test_budget_gate():
         is_pinn_bruteforce(big, budget=1000)
     # the dispatcher falls back to the criterion instead of raising
     assert is_pinn(big, budget=1000) == is_pinn_criterion(big)[0]
+    # the DP is gated by its table, not by the orbit
+    assert residue_table_size(big) == 3**3 * 2**7 * 51
+    with pytest.raises(BudgetExceeded):
+        is_pinn_residue_count(big, budget=residue_table_size(big) - 1)
+    assert is_pinn_residue_count(big, budget=residue_table_size(big))[0] is False
 
 
 def test_make_record_only_for_pinns():
