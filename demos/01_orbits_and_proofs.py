@@ -7,6 +7,7 @@ object, so checking a number means checking its whole orbit at once.
 """
 from permniven import (
     DigitMultiset,
+    decide_pinn,
     is_pinn_bruteforce,
     is_pinn_criterion,
     orbit,
@@ -17,9 +18,9 @@ m = DigitMultiset.from_string("2448")
 print(f"multiset {m.canonical}: digit sum {m.digit_sum}, orbit size {m.orbit_size}")
 print("the orbit:", ", ".join(orbit(m)))
 
-ok, proof = is_pinn_bruteforce(m)
+ok, _ = is_pinn_bruteforce(m)
 print(f"\nbrute force verdict: {ok}")
-print(f"quotients by {m.digit_sum}:", proof.quotients)
+print(f"quotients by {m.digit_sum}:", [int(p) // m.digit_sum for p in orbit(m)])
 
 # The congruence criterion reaches the same verdict without touching a
 # single permutation; for wide numbers it is the only affordable route.
@@ -28,8 +29,13 @@ print(f"\ncriterion verdict: {ok}")
 print(f"digit pairs checked: {proof.digit_pairs_checked}")
 print(f"position gaps checked: {proof.position_gaps_checked}")
 
+# `permniven check` decides with the criterion and cross-checks it by
+# counting the arrangements in each residue class mod the digit sum.
+ok, proof, residue_counted = decide_pinn(m)
+print(f"\nshared verdict: {ok}, residue count cross-checked: {residue_counted}")
+
 bad = DigitMultiset.from_string("13")
-ok, witness = is_pinn_bruteforce(bad)
+ok, witness, _ = decide_pinn(bad)
 print(f"\n13 is a PINN: {ok}")
 print(f"witness: {witness.permutation} leaves remainder {witness.residue} mod 4")
 

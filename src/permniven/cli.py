@@ -4,8 +4,12 @@ Subcommands map one-to-one onto the library entry points: check, search,
 families, catalog, repdigit, order, census, probe-zero-insertion.  Output
 goes to stdout in one of four formats (text, json, csv, bfile); bfile is
 only meaningful for plain value lists.  Exit status is 0 on success, 1
-when a verification produced a negative verdict or could not finish, and
-2 on usage errors.
+when a verification produced a negative verdict or could not finish
+(deciders that disagree included), and 2 on usage errors.
+
+`check` and `families --verify` share ``orbits.decide_pinn``: the
+congruence criterion, cross-checked by the residue-counting DP when its
+table has at most `--budget` entries.
 
 Numbers may be typed as plain digits or in run-compressed notation, so
 `1_(26)01` names the 28-digit number with twenty-six leading ones.
@@ -14,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
-from itertools import islice
 from typing import Any, Sequence
 
 from .digits import (
@@ -28,15 +32,7 @@ from .digits import (
 from .families import TEMPLATES, KTooSmall, instantiate, verify_family
 from .families import catalog as reference_catalog
 from .numtheory import FactorizationTimeout, NotCoprime, multiplicative_order
-from .orbits import (
-    DEFAULT_ORBIT_BUDGET,
-    BudgetExceeded,
-    ExhaustiveProof,
-    FailureWitness,
-    is_pinn_bruteforce,
-    is_pinn_criterion,
-    orbit,
-)
+from .orbits import DEFAULT_ORBIT_BUDGET, BudgetExceeded, decide_pinn
 from .repdigits import (
     DEFAULT_GRID_BOUNDS,
     ConjectureConstraints,
@@ -67,8 +63,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
-_WITNESS_HUNT_CAP = 10**6
-
 
 class UsageError(Exception):
     pass
@@ -96,24 +90,7 @@ def _cmd_check(ns: argparse.Namespace) -> int:
     digits = parse_number(ns.number)
     m = DigitMultiset.from_string(digits)
     s = m.digit_sum
-    if m.orbit_size <= ns.budget:
-        ok, proof = is_pinn_bruteforce(m, ns.budget)
-    else:
-        ok, proof = is_pinn_criterion(m)
-    witness = None
-    if not ok:
-        if isinstance(proof, FailureWitness):
-            witness = proof
-        elif proof.base_residue > 0:
-            witness = FailureWitness(permutation=m.canonical, residue=proof.base_residue)
-        else:
-            # The pair congruence failed; some rearrangement is a concrete
-            # counterexample and the ascending scan finds one almost at once.
-            for perm in islice(orbit(m), _WITNESS_HUNT_CAP):
-                r = int(perm) % s
-                if r:
-                    witness = FailureWitness(permutation=perm, residue=r)
-                    break
+    ok, proof, residue_counted = decide_pinn(m, ns.budget)
     pretty = digits if len(digits) <= 40 else format_number(digits)
     if ns.format == "json":
         obj: dict[str, Any] = {
@@ -125,28 +102,25 @@ def _cmd_check(ns: argparse.Namespace) -> int:
             "is_pinn": ok,
         }
         if ok:
-            obj["proof"] = _proof_to_obj(proof)
-        elif witness is not None:
-            obj["witness"] = _proof_to_obj(witness)
-        sys.stdout.write(to_json_text(obj))
-    else:
-        if ok:
-            print(f"{pretty} is a PINN: k {m.k}, digit sum {s}, orbit {m.orbit_size}")
-            if isinstance(proof, ExhaustiveProof):
-                print(f"proof: all {m.orbit_size} permutations divide by {s}")
-            else:
-                print(
-                    "proof: congruence criterion over "
-                    f"{len(proof.digit_pairs_checked)} digit pairs and "
-                    f"{len(proof.position_gaps_checked)} position gaps"
-                )
-        elif witness is not None:
-            print(
-                f"{pretty} is not a PINN: witness "
-                f"{witness.permutation} mod {s} = {witness.residue}"
-            )
+            obj["proof"] = {**_proof_to_obj(proof), "residue_counted": residue_counted}
         else:
-            print(f"{pretty} is not a PINN: the pair congruence criterion fails")
+            obj["witness"] = _proof_to_obj(proof)
+        sys.stdout.write(to_json_text(obj))
+    elif ok:
+        print(f"{pretty} is a PINN: k {m.k}, digit sum {s}, orbit {m.orbit_size}")
+        print(
+            "proof: congruence criterion over "
+            f"{len(proof.digit_pairs_checked)} digit pairs and "
+            f"{len(proof.position_gaps_checked)} position gaps"
+        )
+        if residue_counted:
+            print(f"cross-check: the residue count puts all {m.orbit_size} "
+                  f"arrangements at 0 mod {s}")
+    else:
+        print(
+            f"{pretty} is not a PINN: witness "
+            f"{proof.permutation} mod {s} = {proof.residue}"
+        )
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -164,10 +138,10 @@ def _cmd_search(ns: argparse.Namespace) -> int:
     elif ns.format == "bfile":
         sys.stdout.write(bfile_text(report_values(report)))
     else:
-        values = report_values(report)
+        n_values = sum(rec.multiset.value_count for rec in report.records)
         print(
             f"k={report.k}: {len(report.records)} canonical multisets, "
-            f"{len(values)} values"
+            f"{n_values} values"
         )
         for rec in report.records:
             print(
@@ -407,8 +381,8 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         default=DEFAULT_ORBIT_BUDGET,
-        help="cap on the orbit size brute-forced by check and on the "
-        "residue-count table cross-checked by families --verify (default 10^7)",
+        help="cap on the residue-count table that cross-checks the "
+        "congruence criterion (default 10^7)",
     )
 
 
@@ -488,10 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and reused by every later run()
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -499,7 +478,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (UsageError, NotCoprime, KTooSmall, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FactorizationTimeout, BudgetExceeded) as exc:
+    except (FactorizationTimeout, BudgetExceeded, ArithmeticError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 __all__ = [
     "DigitMultiset",
@@ -31,7 +31,8 @@ _BLOCK_RE = re.compile(r"(\d)(?:_\((\d+)\))?")
 
 
 def _check_digit_string(s: str) -> None:
-    if not s or not s.isdigit():
+    # isdigit alone admits other scripts' digits, which value_mod misreads
+    if not s or not (s.isascii() and s.isdigit()):
         raise ValueError(f"not a digit string: {s!r}")
 
 
@@ -150,7 +151,7 @@ class DigitMultiset:
     @classmethod
     def from_string(cls, s: str) -> DigitMultiset:
         _check_digit_string(s)
-        return cls.from_digits(map(int, s))
+        return cls(tuple(s.count(d) for d in "0123456789"))
 
     @property
     def k(self) -> int:
@@ -167,10 +168,17 @@ class DigitMultiset:
 
     @property
     def orbit_size(self) -> int:
-        n = factorial(self.k)
+        # k! / (c0! ... c9!) as a product of binomials, never forming k!
+        size, n = 1, 0
         for c in self.counts:
-            n //= factorial(c)
-        return n
+            n += c
+            size *= comb(n, c)
+        return size
+
+    @property
+    def value_count(self) -> int:
+        """Arrangements not led by zero: the distinct k-digit values."""
+        return self.orbit_size * (self.k - self.counts[0]) // self.k
 
     @property
     def present_digits(self) -> tuple[int, ...]:

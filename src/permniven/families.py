@@ -5,9 +5,10 @@ to the requested total width k.  The ten families cover the same cores as
 the k <= 9 reference catalog groups; their point is that the padding count
 is a free parameter, so each family yields PINN classes at arbitrarily
 large k.  verify_family re-proves the claim instance by instance instead
-of trusting it, with two deciders that share no reasoning: the congruence
-criterion, O(pairs + k), and the residue-counting DP, whose table grows
-about linearly in k for these members (155520 entries at k = 200).
+of trusting it, with ``orbits.decide_pinn``, the rule ``check`` also uses:
+two deciders that share no reasoning, the congruence criterion,
+O(pairs + k), and the residue-counting DP, whose table grows about
+linearly in k for these members (155520 entries at k = 200).
 The tested range is k <= 64; nothing in the code caps k itself.
 """
 from __future__ import annotations
@@ -20,9 +21,8 @@ from .orbits import (
     DEFAULT_ORBIT_BUDGET,
     CriterionProof,
     FailureWitness,
+    decide_pinn,
     is_pinn_criterion,
-    is_pinn_residue_count,
-    residue_table_size,
 )
 
 __all__ = [
@@ -100,22 +100,15 @@ def instantiate(tpl: FamilyTemplate, k: int) -> FamilyInstance:
 def verify_family(
     instance: FamilyInstance, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> list[tuple[DigitMultiset, bool, CriterionProof | FailureWitness]]:
-    """Re-prove every member by the criterion, cross-checked by the
-    residue-counting DP when its table fits within budget entries.
+    """Re-prove every member with ``decide_pinn``: the criterion,
+    cross-checked by the residue-counting DP when its table fits within
+    budget entries.
 
     A member is ok only when every decider that ran says PINN.  The proof
-    is the criterion's unless the DP alone says no, in which case it is
-    the DP's witness, a concrete arrangement and its non-zero residue.
+    is the criterion's for a PINN and otherwise a witness, a concrete
+    arrangement and its non-zero residue.
     """
-    out = []
-    for m in instance.members:
-        ok, proof = is_pinn_criterion(m)
-        if residue_table_size(m) <= budget:
-            dp_ok, witness = is_pinn_residue_count(m, budget)
-            if ok and not dp_ok:
-                ok, proof = False, witness
-        out.append((m, ok, proof))
-    return out
+    return [(m, *decide_pinn(m, budget)[:2]) for m in instance.members]
 
 
 def kb_witness_check(k: int) -> bool:

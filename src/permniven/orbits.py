@@ -7,7 +7,8 @@ value, which equals the un-normalized value, so the verdict is unaffected.
 Three deciders settle whether every orbit member is a Niven number, each by
 its own reasoning:
 
-* ``is_pinn_bruteforce`` walks the orbit in lexicographic order and divides.
+* ``is_pinn_bruteforce`` walks the orbit in lexicographic order and divides;
+  it is the test oracle, and no production path calls it.
 * ``is_pinn_criterion`` checks a pair of congruence conditions that are
   exactly equivalent: transpositions generate the symmetric group, condition
   (a) pins all arrangements to one residue class mod the digit sum, and
@@ -17,6 +18,9 @@ its own reasoning:
 * ``is_pinn_residue_count`` counts the arrangements in each residue class
   mod the digit sum with a DP over (unused digit counts, residue), so it
   never enumerates the orbit; its cost is ``residue_table_size(m)``.
+
+``decide_pinn``, the verdict rule of ``check`` and ``families --verify``,
+runs the criterion and, when its table fits the budget, the DP.
 """
 from __future__ import annotations
 
@@ -30,12 +34,11 @@ from .digits import DigitMultiset, value_mod
 __all__ = [
     "BudgetExceeded",
     "CriterionProof",
-    "ExhaustiveProof",
     "FailureWitness",
     "PinnRecord",
     "class_modulus",
+    "decide_pinn",
     "is_niven",
-    "is_pinn",
     "is_pinn_bruteforce",
     "is_pinn_criterion",
     "is_pinn_residue_count",
@@ -83,13 +86,6 @@ def is_niven(s: str) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class ExhaustiveProof:
-    """Quotients value/digit_sum for each orbit member, in orbit order."""
-
-    quotients: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class FailureWitness:
     permutation: str
     residue: int
@@ -108,32 +104,25 @@ class PinnRecord:
     canonical: str
     digit_sum: int
     orbit_size: int
-    proof: CriterionProof | ExhaustiveProof
-
-    @property
-    def value(self) -> int:
-        return int(self.canonical)
+    proof: CriterionProof
 
 
 def is_pinn_bruteforce(
     m: DigitMultiset, budget: int = DEFAULT_ORBIT_BUDGET
-) -> tuple[bool, ExhaustiveProof | FailureWitness]:
+) -> tuple[bool, FailureWitness | None]:
     """Divide every orbit member by the digit sum.
 
-    Success carries all integer quotients; failure carries the
-    lexicographically first bad arrangement and its residue.
+    Failure carries the lexicographically first bad arrangement and its
+    residue.  Raises BudgetExceeded when the orbit exceeds the budget.
     """
     if m.orbit_size > budget:
         raise BudgetExceeded(f"orbit {m.orbit_size} exceeds budget {budget}")
     s = m.digit_sum
-    quotients = []
     for perm in orbit(m):
-        v = int(perm)
-        q, r = divmod(v, s)
+        r = int(perm) % s
         if r:
             return False, FailureWitness(permutation=perm, residue=r)
-        quotients.append(q)
-    return True, ExhaustiveProof(quotients=tuple(quotients))
+    return True, None
 
 
 def class_modulus(s: int, k: int) -> int:
@@ -218,19 +207,31 @@ def is_pinn_residue_count(
     # the orbit size.
     width = orbit_size.bit_length()
     low = [(1 << (width * j)) - 1 for j in range(s + 1)]
+    # levels[u - 1]: each digit's rotation by a = d * 10^(u-1) mod s as
+    # (mask, left shift, right shift), one list per distinct power of ten.
+    rotations = {
+        p: [(low[s - a], width * a, width * (s - a)) for a in (d * p % s for d in digits)]
+        for p in set(powers)
+    }
+    levels = [rotations[p] for p in powers]
     top = prod(radices) - 1
     table = [0] * (top + 1)
     table[top] = 1
-    sweep = product(*(range(c - 1, -1, -1) for c in radices))
-    for idx, unused in zip(range(top, 0, -1), sweep):
-        packed = table[idx]
-        power = powers[sum(unused) - 1]
-        for d, u, stride in zip(digits, unused, strides):
-            if u:
-                a = d * power % s
-                table[idx - stride] += (
-                    ((packed & low[s - a]) << (width * a)) | (packed >> (width * (s - a)))
-                )
+    # The last digit (the smallest, often the many zeros) varies fastest, so
+    # the other digits that can still be placed are fixed across its loop.
+    *heads, last = radices
+    idx = top + 1
+    for head in product(*(range(c - 1, -1, -1) for c in heads)):
+        placeable = [(j, strides[j]) for j, u in enumerate(head) if u]
+        with_last = placeable + [(len(heads), 1)]
+        base = sum(head)
+        for u in range(last - 1, -1, -1):
+            idx -= 1
+            packed = table[idx]
+            level = levels[base + u - 1]
+            for j, stride in with_last if u else placeable:
+                mask, left, right = level[j]
+                table[idx - stride] += ((packed & mask) << left) | (packed >> right)
     counts = [table[0] >> (width * r) & low[1] for r in range(s)]
     if sum(counts) != orbit_size:
         raise ArithmeticError(f"residue counts sum to {sum(counts)}, not {orbit_size}")
@@ -253,21 +254,41 @@ def is_pinn_residue_count(
     return False, FailureWitness(permutation="".join(reversed(placed)), residue=residue)
 
 
-def is_pinn(m: DigitMultiset, budget: int = DEFAULT_ORBIT_BUDGET) -> bool:
-    """Criterion when the orbit is large, brute force otherwise."""
-    if m.orbit_size > budget:
-        return is_pinn_criterion(m)[0]
-    return is_pinn_bruteforce(m, budget)[0]
+def decide_pinn(
+    m: DigitMultiset, budget: int = DEFAULT_ORBIT_BUDGET
+) -> tuple[bool, CriterionProof | FailureWitness, bool]:
+    """The criterion's verdict on m, cross-checked by the residue-counting DP
+    when its table has at most budget entries.
+
+    Returns (ok, proof, residue_counted): ok only when every decider that
+    ran says PINN, with the criterion's proof.  A "no" carries a witness
+    found in O(k): the canonical arrangement when its residue is the
+    defect; for a failed pair u > v, whichever of the arrangements ending
+    in vu and in uv is not divisible (they differ by 9(u - v), which the
+    digit sum does not divide); the DP's when only the DP says no.  Raises
+    ArithmeticError when both arrangements of the failed pair divide.
+    """
+    ok, proof = is_pinn_criterion(m)
+    if ok:
+        if residue_table_size(m) > budget:
+            return True, proof, False
+        dp_ok, witness = is_pinn_residue_count(m, budget)
+        return (True, proof, True) if dp_ok else (False, witness, True)
+    if proof.base_residue > 0:
+        return False, FailureWitness(m.canonical, proof.base_residue), False
+    u, v = proof.digit_pairs_checked[-1]
+    rest = m.canonical.replace(str(u), "", 1).replace(str(v), "", 1)
+    for perm in (f"{rest}{v}{u}", f"{rest}{u}{v}"):
+        r = value_mod(perm, m.digit_sum)
+        if r:
+            return False, FailureWitness(perm, r), False
+    raise ArithmeticError(f"the criterion rejects digits {u} and {v} of {m}, "
+                          "but both arrangements ending in them divide")
 
 
-def make_record(
-    m: DigitMultiset, budget: int = DEFAULT_ORBIT_BUDGET, prefer_brute: bool = False
-) -> PinnRecord | None:
-    """Build a verified record for m, or None when m is not a PINN class."""
-    if prefer_brute and m.orbit_size <= budget:
-        ok, proof = is_pinn_bruteforce(m, budget)
-    else:
-        ok, proof = is_pinn_criterion(m)
+def make_record(m: DigitMultiset) -> PinnRecord | None:
+    """A criterion-proved record for m, or None when m is not a PINN class."""
+    ok, proof = is_pinn_criterion(m)
     if not ok:
         return None
     return PinnRecord(

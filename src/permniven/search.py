@@ -188,7 +188,7 @@ def census(max_value: int) -> CensusResult:
                         f"sum {rec.digit_sum}"
                     )
             if k < top_k:
-                n_values = rec.orbit_size * (m.k - m.counts[0]) // m.k
+                n_values = m.value_count
             else:
                 n_values = sum(
                     1

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Sequence
 
 from .digits import DigitMultiset, format_number
 from .families import FamilyInstance
-from .orbits import CriterionProof, ExhaustiveProof, FailureWitness, PinnRecord
+from .orbits import CriterionProof, FailureWitness, PinnRecord
 from .repdigits import GridReport
 from .search import CensusResult, SearchReport
 
@@ -38,8 +38,6 @@ def to_json_text(obj: Any) -> str:
 # --- proofs and records -------------------------------------------------------------
 
 def _proof_to_obj(proof: Any) -> dict[str, Any]:
-    if isinstance(proof, ExhaustiveProof):
-        return {"type": "exhaustive", "quotients": list(proof.quotients)}
     if isinstance(proof, CriterionProof):
         return {
             "type": "criterion",
@@ -58,8 +56,6 @@ def _proof_to_obj(proof: Any) -> dict[str, Any]:
 
 def _proof_from_obj(obj: dict[str, Any]):
     kind = obj["type"]
-    if kind == "exhaustive":
-        return ExhaustiveProof(quotients=tuple(obj["quotients"]))
     if kind == "criterion":
         return CriterionProof(
             digit_pairs_checked=tuple(

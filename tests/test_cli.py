@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from permniven.catalogs import NN2_VALUES
 from permniven.cli import run
+from permniven.digits import digit_sum_of, parse_number, value_mod
 from permniven.serialize import report_from_json
 
 
@@ -31,7 +33,43 @@ def test_check_json(capsys):
     assert run(["--format", "json", "check", "2448"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["is_pinn"] and obj["orbit_size"] == 12
-    assert obj["proof"]["type"] == "exhaustive"
+    assert obj["proof"]["type"] == "criterion"
+    assert obj["proof"]["residue_counted"] is True
+
+
+@pytest.mark.parametrize("number", ["1_(5000)", "1_(3000)2_(3000)"])
+def test_check_beyond_the_int_conversion_limit(capsys, number):
+    digits = parse_number(number)
+    assert run(["check", number]) == 1
+    out = capsys.readouterr().out
+    found = re.search(r"is not a PINN: witness (\d+) mod (\d+) = (\d+)$", out)
+    assert found, out[:200]
+    perm, s, r = found.group(1), int(found.group(2)), int(found.group(3))
+    assert sorted(perm) == sorted(digits) and s == digit_sum_of(digits)
+    assert r != 0 and value_mod(perm, s) == r
+
+
+def test_check_large_pinn_orbit_by_residue_count(capsys):
+    # an orbit of 1627920, which the DP settles from a 2268-entry table
+    assert run(["check", "221_(5)0_(13)"]) == 0
+    out = capsys.readouterr().out
+    assert "is a PINN" in out
+    assert "residue count puts all 1627920 arrangements at 0 mod 9" in out
+
+
+def test_check_reports_deciders_that_disagree(capsys, monkeypatch):
+    import permniven.orbits as orbits
+
+    def rejects_a_pair(m):
+        return False, orbits.CriterionProof(
+            digit_pairs_checked=((4, 2),), position_gaps_checked=(1,), base_residue=-1
+        )
+
+    monkeypatch.setattr(orbits, "is_pinn_criterion", rejects_a_pair)
+    assert run(["check", "2448"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: ")
 
 
 def test_check_rejects_garbage(capsys):

@@ -96,6 +96,9 @@ def test_multiset_from_digits_matches_from_string():
     assert m1.digit_sum == 18
     assert m1.canonical == "8442"
     assert m1.present_digits == (2, 4, 8)
+    # str.isdigit admits other scripts' digits; the digit model does not
+    with pytest.raises(ValueError):
+        DigitMultiset.from_string("24\u06648")
 
 
 def test_multiset_rejects_bad_counts():
@@ -121,6 +124,7 @@ def test_orbit_size_is_the_multinomial():
         # cross-check against distinct arrangements for small k
         if m.k <= 6:
             assert m.orbit_size == len(set(permutations(digits)))
+            assert m.value_count == len({p for p in permutations(digits) if p[0]})
 
 
 def test_repdigit_predicate():

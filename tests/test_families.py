@@ -19,7 +19,7 @@ from permniven.families import (
 )
 from permniven.orbits import (
     DEFAULT_ORBIT_BUDGET,
-    CriterionProof,
+    FailureWitness,
     is_pinn_bruteforce,
     is_pinn_residue_count,
     residue_table_size,
@@ -84,8 +84,8 @@ def test_verify_family_rejects_a_non_pinn_member():
     inst = FamilyInstance(template_id="x", k=2, members=(DigitMultiset.from_string("13"),))
     for budget in (1, DEFAULT_ORBIT_BUDGET):
         [(_m, ok, proof)] = verify_family(inst, budget)
-        # both deciders say no, so the criterion's proof stands
-        assert not ok and isinstance(proof, CriterionProof)
+        # the criterion's "no" comes with an arrangement that fails
+        assert not ok and proof == FailureWitness(permutation="13", residue=1)
 
 
 def test_kb_witness_table():

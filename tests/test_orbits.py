@@ -12,10 +12,9 @@ from permniven.digits import DigitMultiset, value_mod
 from permniven.orbits import (
     BudgetExceeded,
     CriterionProof,
-    ExhaustiveProof,
     FailureWitness,
+    decide_pinn,
     is_niven,
-    is_pinn,
     is_pinn_bruteforce,
     is_pinn_criterion,
     is_pinn_residue_count,
@@ -67,10 +66,7 @@ def test_bruteforce_agrees_with_oracle_and_reports_witness():
         ok, proof = is_pinn_bruteforce(m)
         assert ok == brute_pinn(digits)
         if ok:
-            assert isinstance(proof, ExhaustiveProof)
-            assert len(proof.quotients) == m.orbit_size
-            assert all(q * m.digit_sum in
-                       {int(p) for p in orbit(m)} for q in proof.quotients)
+            assert proof is None
         else:
             assert isinstance(proof, FailureWitness)
             assert int(proof.permutation) % m.digit_sum == proof.residue
@@ -99,7 +95,7 @@ def assert_is_witness(m: DigitMultiset, witness: FailureWitness) -> None:
 
 
 def test_three_deciders_agree_up_to_k6():
-    seen = 0
+    seen = rejected = 0
     for k in range(1, 7):
         for combo in combinations_with_replacement(range(10), k):
             if not any(combo):
@@ -107,12 +103,19 @@ def test_three_deciders_agree_up_to_k6():
             m = DigitMultiset.from_digits(combo)
             ok, witness = is_pinn_residue_count(m)
             assert ok == is_pinn_criterion(m)[0] == is_pinn_bruteforce(m)[0], m.canonical
+            # the shared verdict rule: the DP runs on every PINN here, and
+            # every "no" carries its O(k) witness
+            verdict, proof, residue_counted = decide_pinn(m)
+            assert verdict == ok and residue_counted == ok
             if ok:
                 assert witness is None
+                assert isinstance(proof, CriterionProof)
             else:
                 assert_is_witness(m, witness)
+                assert_is_witness(m, proof)
+                rejected += 1
             seen += 1
-    assert seen == 8001
+    assert (seen, rejected) == (8001, 7767)
 
 
 @st.composite
@@ -171,13 +174,38 @@ def test_budget_gate():
     big = DigitMultiset.from_string("1234567890123")
     with pytest.raises(BudgetExceeded):
         is_pinn_bruteforce(big, budget=1000)
-    # the dispatcher falls back to the criterion instead of raising
-    assert is_pinn(big, budget=1000) == is_pinn_criterion(big)[0]
     # the DP is gated by its table, not by the orbit
     assert residue_table_size(big) == 3**3 * 2**7 * 51
     with pytest.raises(BudgetExceeded):
         is_pinn_residue_count(big, budget=residue_table_size(big) - 1)
     assert is_pinn_residue_count(big, budget=residue_table_size(big))[0] is False
+    # decide_pinn runs the DP only when its table fits
+    m = DigitMultiset.from_string("2448")
+    assert decide_pinn(m, budget=residue_table_size(m) - 1)[::2] == (True, False)
+    assert decide_pinn(m, budget=residue_table_size(m))[::2] == (True, True)
+
+
+def test_decide_pinn_trusts_no_single_decider(monkeypatch):
+    import permniven.orbits as orbits
+
+    def says_pinn(m):
+        return True, CriterionProof(digit_pairs_checked=(), position_gaps_checked=(), base_residue=0)
+
+    # a criterion that wrongly accepts 13 is overruled by the DP's witness
+    monkeypatch.setattr(orbits, "is_pinn_criterion", says_pinn)
+    m = DigitMultiset.from_string("13")
+    ok, witness, residue_counted = decide_pinn(m)
+    assert not ok and residue_counted
+    assert_is_witness(m, witness)
+
+    def rejects_a_pair(m):
+        return False, CriterionProof(digit_pairs_checked=((4, 2),), position_gaps_checked=(1,),
+                                     base_residue=-1)
+
+    # a pair rejection that no arrangement backs up is an internal fault
+    monkeypatch.setattr(orbits, "is_pinn_criterion", rejects_a_pair)
+    with pytest.raises(ArithmeticError):
+        decide_pinn(DigitMultiset.from_string("2448"))
 
 
 def test_make_record_only_for_pinns():
@@ -185,14 +213,8 @@ def test_make_record_only_for_pinns():
     rec = make_record(DigitMultiset.from_string("2448"))
     assert rec is not None
     assert rec.canonical == "8442"
-    assert rec.value == 8442
     assert rec.digit_sum == 18
     assert rec.orbit_size == 12
-    assert isinstance(rec.proof, CriterionProof)
-    # the exhaustive proof is opt-in and gated by the budget
-    rec = make_record(DigitMultiset.from_string("2448"), prefer_brute=True)
-    assert isinstance(rec.proof, ExhaustiveProof)
-    rec = make_record(DigitMultiset.from_string("2448"), budget=4, prefer_brute=True)
     assert isinstance(rec.proof, CriterionProof)
 
 
@@ -205,7 +227,7 @@ def test_values_permutation_closed():
 
 def test_orbit_closure_check():
     recs = [
-        make_record(DigitMultiset.from_string(s), prefer_brute=True)
+        make_record(DigitMultiset.from_string(s))
         for s in ("2448", "7200")
     ]
     assert all(recs)

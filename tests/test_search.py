@@ -204,6 +204,12 @@ def test_report_values_expand_orbits():
     rec = next(r for r in report.records if r.canonical == "432")
     expected = {int(p) for p in orbit(rec.multiset) if p[0] != "0"}
     assert expected <= set(values)
+    # the text report counts values without expanding them
+    for k in range(1, 9):
+        for allow_zero in (True, False):
+            report = search(SearchConfig(k=k, allow_zero=allow_zero))
+            counted = sum(r.multiset.value_count for r in report.records)
+            assert counted == len(report_values(report)), (k, allow_zero)
 
 
 def test_zero_padding_between_widths():
