@@ -9,7 +9,6 @@ minimum.
 from permniven import (
     TEMPLATES,
     instantiate,
-    kb_witness_check,
     template,
     verify_family,
     zero_augmentation_property,
@@ -26,11 +25,6 @@ for tpl in TEMPLATES:
 inst = instantiate(template("ke"), 20)
 results = verify_family(inst)
 print(f"\nke at k=20: {sum(ok for _, ok, _ in results)}/{len(results)} verified")
-
-# The kb family comes with explicit quotient witnesses: each member is
-# its digit sum times a single digit shifted by trailing zeros.
-print("kb witness identity holds for k=3..50:",
-      all(kb_witness_check(k) for k in range(3, 51)))
 
 # Padding members of one width into a larger width lands inside the
 # larger instantiation and re-verifies.

@@ -38,9 +38,8 @@ print(
     f"{report.skipped_over_cap} skipped over the {report.bit_cap}-bit cap"
 )
 
-# Moduli too large to materialize are still checked modularly: k is kept
-# in factored form and 10^k mod m costs one pow per prime power.
+# The exponents keep k in factored form, so 10^k mod 9k costs one pow per
+# prime power of k rather than one pow with k itself as the exponent.
 huge = ConjectureConstraints(n=5, alpha=2, beta=1, gamma1=1, delta3=1)
-fk = huge.factored_k()
-print(f"\nk with {fk.bit_estimate} bits handled without materializing:",
-      repdigit_niven_check(1, fk).exact)
+print(f"\nk with {huge.bit_estimate} bits, one pow per prime power:",
+      repdigit_niven_check(1, huge).exact)

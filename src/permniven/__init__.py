@@ -17,7 +17,6 @@ from .digits import (
     compress,
     format_number,
     multiset_count,
-    normalize,
     parse_number,
     value_mod,
 )
@@ -29,7 +28,6 @@ from .families import (
     KTooSmall,
     catalog,
     instantiate,
-    kb_witness_check,
     template,
     verify_family,
     zero_augmentation_property,
@@ -56,7 +54,6 @@ from .orbits import (
     is_pinn_residue_count,
     make_record,
     orbit,
-    orbit_closure_check,
     values_permutation_closed,
 )
 from .repdigits import (
@@ -64,7 +61,6 @@ from .repdigits import (
     DEFAULT_GRID_BOUNDS,
     DISTINGUISHED_PRIMES,
     ConjectureConstraints,
-    FactoredK,
     GridEntry,
     GridReport,
     RepdigitCheck,
@@ -105,7 +101,6 @@ __all__ = [
     "DISTINGUISHED_PRIMES",
     "DigitMultiset",
     "FAMILY_IDS",
-    "FactoredK",
     "FactorizationTimeout",
     "FailureWitness",
     "FamilyInstance",
@@ -137,14 +132,11 @@ __all__ = [
     "is_pinn_criterion",
     "is_pinn_residue_count",
     "jacobi",
-    "kb_witness_check",
     "make_record",
     "modpow10",
     "multiplicative_order",
     "multiset_count",
-    "normalize",
     "orbit",
-    "orbit_closure_check",
     "parse_number",
     "probable_prime",
     "records_to_csv",

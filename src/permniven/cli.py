@@ -32,7 +32,7 @@ from .digits import (
 from .families import TEMPLATES, KTooSmall, instantiate, verify_family
 from .families import catalog as reference_catalog
 from .numtheory import FactorizationTimeout, NotCoprime, multiplicative_order
-from .orbits import DEFAULT_ORBIT_BUDGET, BudgetExceeded, decide_pinn
+from .orbits import DEFAULT_ORBIT_BUDGET, decide_pinn
 from .repdigits import (
     DEFAULT_GRID_BOUNDS,
     ConjectureConstraints,
@@ -214,8 +214,8 @@ def _cmd_catalog(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _factored_str(fk) -> str:
-    return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fk.factors)
+def _factored_str(cons: ConjectureConstraints) -> str:
+    return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in cons.factors) or "1"
 
 
 def _cmd_repdigit(ns: argparse.Namespace) -> int:
@@ -238,7 +238,7 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
             bounds = DEFAULT_GRID_BOUNDS
         else:
             bounds = ConjectureConstraints(*([ns.max_exp] * 10))
-        report = verify_conjecture_grid(bounds, k_bit_cap=ns.bit_cap)
+        report = verify_conjecture_grid(bounds)
         if ns.format == "json":
             sys.stdout.write(to_json_text(grid_report_to_obj(report)))
         elif ns.format == "csv":
@@ -269,18 +269,14 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
         delta1=ns.delta1, delta2=ns.delta2, delta3=ns.delta3, delta4=ns.delta4,
         delta5=ns.delta5,
     )
-    fk = cons.factored_k()
-    chk = repdigit_niven_check(ns.a, fk)
-    try:
-        k_value: int | None = fk.value
-    except OverflowError:
-        k_value = None
+    chk = repdigit_niven_check(ns.a, cons)  # OverflowError when k is too large
+    k_value = cons.k
     if ns.format == "json":
         obj = {
             "a": ns.a,
-            "k_factored": _factored_str(fk),
+            "k_factored": _factored_str(cons),
             "k": k_value,
-            "k_bits": fk.bit_estimate,
+            "k_bits": cons.bit_estimate,
             "ladder_satisfied": cons.satisfies_ladder(),
             "exact": chk.exact,
             "strict": chk.strict,
@@ -288,12 +284,8 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
         }
         sys.stdout.write(to_json_text(obj))
     else:
-        shown = (
-            f" = {k_value}"
-            if k_value is not None and str(k_value) != _factored_str(fk)
-            else ""
-        )
-        print(f"k = {_factored_str(fk)}{shown} ({fk.bit_estimate} bits)")
+        shown = f" = {k_value}" if str(k_value) != _factored_str(cons) else ""
+        print(f"k = {_factored_str(cons)}{shown} ({cons.bit_estimate} bits)")
         print(f"ladder satisfied: {cons.satisfies_ladder()}")
         print(f"exact condition 10^k = 1 (mod 9k): {chk.exact}")
         print(f"strict condition 10^k = 1 (mod 9ka), a={ns.a}: {chk.strict}")
@@ -432,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="store_true", help="sweep the exponent grid")
     p.add_argument("--max-exp", type=int, default=None,
                    help="uniform per-parameter bound for --grid")
-    p.add_argument("--bit-cap", type=int, default=4096,
-                   help="skip moduli above this many bits (default 4096)")
     p.add_argument("--sweep", type=int, default=None, metavar="LIMIT",
                    help="list every k <= LIMIT satisfying the exact condition")
     _add_common(p, top=False)
@@ -473,14 +463,23 @@ def run(argv: Sequence[str] | None = None) -> int:
         ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # exact orbit sizes and widths print in full, however many digits they
+    # have, so the int/str conversion limit is lifted while a command runs
+    # (argument parsing above keeps it)
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return ns.func(ns)
     except (UsageError, NotCoprime, KTooSmall, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FactorizationTimeout, BudgetExceeded, ArithmeticError) as exc:
+    except (FactorizationTimeout, ArithmeticError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def main() -> None:

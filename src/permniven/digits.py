@@ -14,6 +14,7 @@ runs stay literal.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from math import comb
 
@@ -22,7 +23,6 @@ __all__ = [
     "compress",
     "digit_sum_of",
     "expand",
-    "normalize",
     "parse_number",
     "value_mod",
 ]
@@ -34,18 +34,6 @@ def _check_digit_string(s: str) -> None:
     # isdigit alone admits other scripts' digits, which value_mod misreads
     if not s or not (s.isascii() and s.isdigit()):
         raise ValueError(f"not a digit string: {s!r}")
-
-
-def normalize(s: str) -> str:
-    """Strip leading zeros; value and digit sum are unchanged.
-
-    All-zero strings are rejected: every number here is positive.
-    """
-    _check_digit_string(s)
-    t = s.lstrip("0")
-    if not t:
-        raise ValueError("all-zero digit string has no value")
-    return t
 
 
 def digit_sum_of(s: str) -> int:
@@ -114,16 +102,18 @@ def parse_number(text: str) -> str:
         n = int(m.group(2)) if m.group(2) else 1
         if n < 1:
             raise ValueError("zero repeat count")
+        if n > sys.maxsize:
+            raise ValueError(f"repeat count above {sys.maxsize}")
         blocks.append((d, n))
         pos = m.end()
     return expand(tuple(blocks))
 
 
-def format_number(s: str, min_run: int = 3) -> str:
-    """Render a digit string with runs of min_run or more as d_(n)."""
+def format_number(s: str) -> str:
+    """Render a digit string with runs of three or more as d_(n)."""
     parts = []
     for d, n in compress(s):
-        parts.append(f"{d}_({n})" if n >= min_run else str(d) * n)
+        parts.append(f"{d}_({n})" if n >= 3 else str(d) * n)
     return "".join(parts)
 
 
@@ -194,9 +184,6 @@ class DigitMultiset:
         counts = list(self.counts)
         counts[0] += extra
         return DigitMultiset(tuple(counts))
-
-    def nonzero_part(self) -> DigitMultiset:
-        return DigitMultiset((0,) + self.counts[1:])
 
     def __str__(self) -> str:
         return self.canonical

@@ -32,7 +32,6 @@ __all__ = [
     "KTooSmall",
     "catalog",
     "instantiate",
-    "kb_witness_check",
     "template",
     "verify_family",
     "zero_augmentation_property",
@@ -66,18 +65,6 @@ TEMPLATES: tuple[FamilyTemplate, ...] = tuple(
     )
 )
 
-# Worked divisibility witnesses for the kb family: the canonical member is
-# modulus * (digit followed by zeros).  modulus equals the digit sum.
-KB_WITNESSES: tuple[tuple[str, int, str], ...] = (
-    ("12", 3, "7"),
-    ("18", 9, "9"),
-    ("24", 6, "7"),
-    ("27", 9, "8"),
-    ("36", 9, "7"),
-    ("45", 9, "6"),
-    ("48", 12, "7"),
-)
-
 
 def template(family_id: str) -> FamilyTemplate:
     for t in TEMPLATES:
@@ -109,16 +96,6 @@ def verify_family(
     arrangement and its non-zero residue.
     """
     return [(m, *decide_pinn(m, budget)[:2]) for m in instance.members]
-
-
-def kb_witness_check(k: int) -> bool:
-    """Check the kb divisibility pattern at width k."""
-    for core, modulus, quotient in KB_WITNESSES:
-        member = DigitMultiset.from_string(core).with_zeros(k - 2)
-        expected = modulus * int(quotient + "0" * (k - 2))
-        if int(member.canonical) != expected:
-            return False
-    return True
 
 
 def catalog(k: int) -> list[FamilyInstance]:

@@ -184,14 +184,15 @@ def _brent_rho(n: int, deadline: float) -> int:
         seed += 1  # cycle degenerated; retry with a new parameter
 
 
-def factorize(n: int, budget_seconds: float = RHO_BUDGET_SECONDS) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}.
 
-    Raises FactorizationTimeout when the rho budget runs out first.
+    Raises FactorizationTimeout when the rho budget of RHO_BUDGET_SECONDS
+    runs out first.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    deadline = time.monotonic() + budget_seconds
+    deadline = time.monotonic() + RHO_BUDGET_SECONDS
     factors: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -223,20 +224,20 @@ def factorize(n: int, budget_seconds: float = RHO_BUDGET_SECONDS) -> dict[int, i
 
 # --- multiplicative order --------------------------------------------------------
 
-def _order_mod_prime_power(base: int, p: int, e: int, budget: float) -> int:
+def _order_mod_prime_power(base: int, p: int, e: int) -> int:
     pe = p**e
     t = (p - 1) * p ** (e - 1)
-    for q in factorize(t, budget):
+    for q in factorize(t):
         while t % q == 0 and pow(base, t // q, pe) == 1:
             t //= q
     return t
 
 
-def multiplicative_order(base: int, m: int,
-                         budget_seconds: float = RHO_BUDGET_SECONDS) -> int:
+def multiplicative_order(base: int, m: int) -> int:
     """Least t >= 1 with base^t == 1 (mod m).
 
-    Needs the factorization of m and of each p-1, hence the time budget.
+    Needs the factorization of m and of each p-1, each under the time
+    budget of ``factorize``.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -245,6 +246,6 @@ def multiplicative_order(base: int, m: int,
     if gcd(base, m) != 1:
         raise NotCoprime(f"gcd({base}, {m}) != 1")
     result = 1
-    for p, e in factorize(m, budget_seconds).items():
-        result = lcm(result, _order_mod_prime_power(base, p, e, budget_seconds))
+    for p, e in factorize(m).items():
+        result = lcm(result, _order_mod_prime_power(base, p, e))
     return result

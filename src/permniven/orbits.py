@@ -44,7 +44,6 @@ __all__ = [
     "is_pinn_residue_count",
     "make_record",
     "orbit",
-    "orbit_closure_check",
     "residue_table_size",
     "values_permutation_closed",
 ]
@@ -317,16 +316,3 @@ def values_permutation_closed(values: Iterable[int]) -> bool:
             if not _next_permutation(a):
                 break
     return True
-
-
-def orbit_closure_check(records: Iterable[PinnRecord], k: int) -> bool:
-    """True iff the k-digit value set spanned by the records' orbits is
-    closed under digit permutation."""
-    values: set[int] = set()
-    for rec in records:
-        if rec.multiset.k != k:
-            raise ValueError(f"record {rec.canonical} has length {rec.multiset.k}, not {k}")
-        for perm in orbit(rec.multiset):
-            if perm[0] != "0":
-                values.add(int(perm))
-    return values_permutation_closed(values)

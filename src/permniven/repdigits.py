@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .digits import digit_sum_of, parse_number, value_mod
@@ -28,7 +29,6 @@ __all__ = [
     "CONJECTURE_PRIMES",
     "DISTINGUISHED_PRIMES",
     "ConjectureConstraints",
-    "FactoredK",
     "GridEntry",
     "GridReport",
     "RepdigitCheck",
@@ -72,6 +72,9 @@ _LADDER: dict[str, int] = {
 
 _MATERIALIZE_BIT_GUARD = 2**20
 
+# verify_conjecture_grid skips tuples whose modulus 9k may exceed this many bits
+GRID_BIT_CAP = 4096
+
 # Primes reported among repdigit-PINN divisors, in ascending order.  Each
 # entry p divides a repdigit PINN 1_(k): ord_p(10) is 3^a * q with q in
 # {1, 37, 163, 757, 9397}, so some width k with 10^k == 1 (mod 9k) is a
@@ -89,42 +92,6 @@ DISTINGUISHED_PRIMES: tuple[int, ...] = (
     178064569, 247629013, 618846643, 440334654777631, 676421558270641,
     2212394296770203368013, 130654897808007778425046117,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class FactoredK:
-    """An exponent k held in factored form, usable without materializing."""
-
-    factors: tuple[tuple[int, int], ...]  # (prime, multiplicity)
-
-    def __post_init__(self) -> None:
-        for p, e in self.factors:
-            if p < 2 or e < 0:
-                raise ValueError(f"bad factor ({p}, {e})")
-
-    @property
-    def bit_estimate(self) -> int:
-        return sum(e * p.bit_length() for p, e in self.factors) + 1
-
-    @property
-    def value(self) -> int:
-        if self.bit_estimate > _MATERIALIZE_BIT_GUARD:
-            raise OverflowError("k too large to materialize; keep it factored")
-        v = 1
-        for p, e in self.factors:
-            v *= p**e
-        return v
-
-    def exponents(self) -> ConjectureConstraints:
-        """Recover the grid exponent tuple; rejects foreign primes."""
-        by_prime = {p: name for name, p in CONJECTURE_PRIMES.items()}
-        kwargs: dict[str, int] = {}
-        for p, e in self.factors:
-            if p not in by_prime:
-                raise ValueError(f"{p} is not a grid prime")
-            if e:
-                kwargs[by_prime[p]] = kwargs.get(by_prime[p], 0) + e
-        return ConjectureConstraints(**kwargs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,17 +123,27 @@ class ConjectureConstraints:
             for name, floor_n in _LADDER.items()
         )
 
-    def factored_k(self) -> FactoredK:
-        factors = tuple(
-            (CONJECTURE_PRIMES[f.name], getattr(self, f.name))
-            for f in fields(self)
-            if getattr(self, f.name)
+    @property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        """k = 3^n * 37^alpha * ... as (prime, multiplicity), nonzero
+        multiplicities only; empty for k = 1."""
+        return tuple(
+            (p, e) for name, p in CONJECTURE_PRIMES.items() if (e := getattr(self, name))
         )
-        return FactoredK(factors=factors or ((3, 0),))
+
+    @property
+    def bit_estimate(self) -> int:
+        return sum(e * p.bit_length() for p, e in self.factors) + 1
+
+    @property
+    def k(self) -> int:
+        if self.bit_estimate > _MATERIALIZE_BIT_GUARD:
+            raise OverflowError("k too large to materialize; keep it factored")
+        return prod(p**e for p, e in self.factors)
 
 
-def modpow10(k: FactoredK | int, m: int) -> int:
-    """10^k mod m, applying factored exponents factor by factor."""
+def modpow10(k: ConjectureConstraints | int, m: int) -> int:
+    """10^k mod m, raising 10 to one prime power of a factored k at a time."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if isinstance(k, int):
@@ -184,11 +161,11 @@ class RepdigitCheck(NamedTuple):
     exact: bool  # 10^k == 1 (mod 9k), necessary and sufficient
 
 
-def repdigit_niven_check(a: int, k: FactoredK | int) -> RepdigitCheck:
+def repdigit_niven_check(a: int, k: ConjectureConstraints | int) -> RepdigitCheck:
     """Is the k-digit repdigit of a a Niven number?  Both conditions."""
     if not 1 <= a <= 9:
         raise ValueError("digit a must be 1..9")
-    kv = k.value if isinstance(k, FactoredK) else k
+    kv = k if isinstance(k, int) else k.k
     if kv < 1:
         raise ValueError("k must be >= 1")
     return RepdigitCheck(
@@ -236,57 +213,42 @@ def _minimal_violations() -> list[ConjectureConstraints]:
     ]
 
 
-def verify_conjecture_grid(
-    bounds: ConjectureConstraints | None = None, k_bit_cap: int = 4096
-) -> GridReport:
+def _grid_entry(exp: ConjectureConstraints, expected: bool) -> GridEntry:
+    m = 9 * exp.k
+    return GridEntry(
+        exponents=exp,
+        modulus_bits=m.bit_length(),
+        exact=modpow10(exp, m) == 1,
+        expected=expected,
+    )
+
+
+def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridReport:
     """Sweep the exponent grid within bounds.
 
     Ladder-satisfying tuples must pass the exact condition; the minimal
     ladder violations (n one below each parameter's floor) must fail it.
-    Tuples whose modulus exceeds the bit cap are counted as skipped, never
-    passed silently.
+    Tuples whose modulus may exceed GRID_BIT_CAP bits are counted as
+    skipped, never passed silently.
     """
     if bounds is None:
         bounds = DEFAULT_GRID_BOUNDS
     t0 = time.monotonic()
     entries = []
     skipped = 0
-    ranges = [range(getattr(bounds, f.name) + 1) for f in fields(bounds)]
-    names = [f.name for f in fields(bounds)]
-    for combo in product(*ranges):
-        exp = ConjectureConstraints(**dict(zip(names, combo)))
+    for combo in product(*(range(e + 1) for e in bounds.as_tuple())):
+        exp = ConjectureConstraints(*combo)
         if not exp.satisfies_ladder():
             continue
-        fk = exp.factored_k()
-        if fk.bit_estimate + 4 > k_bit_cap:
+        # bit_estimate + 4 bounds the bit length of 9k from above
+        if exp.bit_estimate + 4 > GRID_BIT_CAP:
             skipped += 1
             continue
-        m = 9 * fk.value
-        if m.bit_length() > k_bit_cap:
-            skipped += 1
-            continue
-        entries.append(
-            GridEntry(
-                exponents=exp,
-                modulus_bits=m.bit_length(),
-                exact=modpow10(fk, m) == 1,
-                expected=True,
-            )
-        )
-    for exp in _minimal_violations():
-        fk = exp.factored_k()
-        m = 9 * fk.value
-        entries.append(
-            GridEntry(
-                exponents=exp,
-                modulus_bits=m.bit_length(),
-                exact=modpow10(fk, m) == 1,
-                expected=False,
-            )
-        )
+        entries.append(_grid_entry(exp, expected=True))
+    entries.extend(_grid_entry(exp, expected=False) for exp in _minimal_violations())
     return GridReport(
         bounds=bounds,
-        bit_cap=k_bit_cap,
+        bit_cap=GRID_BIT_CAP,
         entries=tuple(entries),
         skipped_over_cap=skipped,
         elapsed=time.monotonic() - t0,

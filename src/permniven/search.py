@@ -173,7 +173,8 @@ def census(max_value: int) -> CensusResult:
     """
     if not 1 <= max_value <= CENSUS_MAX:
         raise ValueError(f"census covers 1..{CENSUS_MAX}")
-    top_k = len(str(max_value))
+    top = str(max_value)
+    top_k = len(top)
     pinn_count = 0
     histogram: Counter[int] = Counter()
     for k in range(1, top_k + 1):
@@ -190,10 +191,9 @@ def census(max_value: int) -> CensusResult:
             if k < top_k:
                 n_values = m.value_count
             else:
+                # equal-width digit strings compare as their values do
                 n_values = sum(
-                    1
-                    for perm in orbit(m)
-                    if perm[0] != "0" and int(perm) <= max_value
+                    1 for perm in orbit(m) if perm[0] != "0" and perm <= top
                 )
             pinn_count += n_values
             histogram[rec.digit_sum] += n_values

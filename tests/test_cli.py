@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 
 import pytest
 
@@ -47,6 +49,24 @@ def test_check_beyond_the_int_conversion_limit(capsys, number):
     perm, s, r = found.group(1), int(found.group(2)), int(found.group(3))
     assert sorted(perm) == sorted(digits) and s == digit_sum_of(digits)
     assert r != 0 and value_mod(perm, s) == r
+
+
+def test_check_orbit_size_beyond_the_int_conversion_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run(["check", "1_(10000)2_(10000)", "--format", "json"]) == 1
+    assert sys.get_int_max_str_digits() == limit  # restored on return
+    sys.set_int_max_str_digits(0)  # the orbit size has 6019 digits
+    try:
+        obj = json.loads(capsys.readouterr().out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert obj["orbit_size"] == math.comb(20000, 10000)
+    assert not obj["is_pinn"]
+
+
+def test_check_rejects_a_repeat_count_beyond_sys_maxsize(capsys):
+    assert run(["check", "1_(99999999999999999999)"]) == 2
+    assert "repeat count" in capsys.readouterr().err
 
 
 def test_check_large_pinn_orbit_by_residue_count(capsys):
@@ -161,6 +181,10 @@ def test_repdigit_json(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["k_factored"] == "3^4 * 9397"
     assert obj["ladder_satisfied"] and obj["exact"]
+    # every exponent 0 is the empty product
+    assert run(["repdigit", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["k_factored"], obj["k"], obj["k_bits"]) == ("1", 1, 1)
 
 
 def test_repdigit_grid(capsys):

@@ -6,13 +6,11 @@ import pytest
 from permniven.digits import DigitMultiset
 from permniven.families import (
     FAMILY_IDS,
-    KB_WITNESSES,
     TEMPLATES,
     FamilyInstance,
     KTooSmall,
     catalog,
     instantiate,
-    kb_witness_check,
     template,
     verify_family,
     zero_augmentation_property,
@@ -89,10 +87,17 @@ def test_verify_family_rejects_a_non_pinn_member():
 
 
 def test_kb_witness_table():
-    # canonical(core + zeros) = modulus * (quotient with k-2 trailing zeros)
-    assert [w[0] for w in KB_WITNESSES] == ["12", "18", "24", "27", "36", "45", "48"]
-    for k in range(3, 40):
-        assert kb_witness_check(k)
+    # each kb core, largest digit first, is its digit sum times one digit, so
+    # a member at any width is that product followed by zeros
+    cores = template("kb").base_patterns
+    assert cores == ("12", "18", "24", "27", "36", "45", "48")
+    quotients = []
+    for core in cores:
+        m = DigitMultiset.from_string(core)
+        q, r = divmod(int(m.canonical), m.digit_sum)
+        assert r == 0, core
+        quotients.append(q)
+    assert quotients == [7, 9, 7, 8, 7, 6, 7]
 
 
 def test_zero_augmentation_property_between_widths():

@@ -20,7 +20,6 @@ from permniven.orbits import (
     is_pinn_residue_count,
     make_record,
     orbit,
-    orbit_closure_check,
     residue_table_size,
     values_permutation_closed,
 )
@@ -224,13 +223,3 @@ def test_values_permutation_closed():
     assert not values_permutation_closed([12])
     assert not values_permutation_closed([13, 31, 103])
 
-
-def test_orbit_closure_check():
-    recs = [
-        make_record(DigitMultiset.from_string(s))
-        for s in ("2448", "7200")
-    ]
-    assert all(recs)
-    assert orbit_closure_check(recs, 4)
-    with pytest.raises(ValueError):
-        orbit_closure_check(recs, 5)

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
+from permniven import repdigits
 from permniven.numtheory import multiplicative_order, probable_prime
 from permniven.repdigits import (
     CONJECTURE_PRIMES,
     DEFAULT_GRID_BOUNDS,
     DISTINGUISHED_PRIMES,
     ConjectureConstraints,
-    FactoredK,
     exact_condition_sweep,
     modpow10,
     repdigit_niven_check,
@@ -58,9 +58,8 @@ def test_modpow10_factored_matches_plain():
             for name in ("n", "alpha", "beta", "gamma1", "delta1")
         }
         cons = ConjectureConstraints(**exps)
-        fk = cons.factored_k()
         m = rng.randrange(2, 10**9)
-        assert modpow10(fk, m) == pow(10, fk.value, m)
+        assert modpow10(cons, m) == pow(10, cons.k, m)
 
 
 def test_modpow10_rejects_tiny_modulus():
@@ -70,19 +69,18 @@ def test_modpow10_rejects_tiny_modulus():
 
 def test_factored_k_value_and_guard():
     cons = ConjectureConstraints(n=2, alpha=1)
-    fk = cons.factored_k()
-    assert fk.value == 333
-    assert fk.exponents() == cons
+    assert cons.factors == ((3, 2), (37, 1))
+    assert cons.k == 333
     huge = ConjectureConstraints(n=1000000)
     with pytest.raises(OverflowError):
-        huge.factored_k().value
-    assert huge.factored_k().bit_estimate > 10**6
+        huge.k
+    assert huge.bit_estimate > 10**6
 
 
 def test_empty_exponents_mean_k_equals_one():
-    fk = ConjectureConstraints().factored_k()
-    assert fk.value == 1
-    assert repdigit_niven_check(5, fk).exact  # 5 is divisible by 5
+    cons = ConjectureConstraints()
+    assert cons.factors == () and cons.k == 1 and cons.bit_estimate == 1
+    assert repdigit_niven_check(5, cons).exact  # 5 is divisible by 5
 
 
 def test_ladder():
@@ -119,10 +117,11 @@ def test_grid_default_bounds_pass():
     assert all(not e.exact for e in negatives)
 
 
-def test_grid_bit_cap_skips_and_reports():
-    report = verify_conjecture_grid(
-        ConjectureConstraints(n=6, alpha=2, beta=2), k_bit_cap=16
-    )
+def test_grid_bit_cap_skips_and_reports(monkeypatch):
+    # a grid that crosses the real cap of 4096 bits takes seconds
+    monkeypatch.setattr(repdigits, "GRID_BIT_CAP", 16)
+    report = verify_conjecture_grid(ConjectureConstraints(n=6, alpha=2, beta=2))
+    assert report.bit_cap == 16
     assert report.skipped_over_cap > 0
     assert all(e.modulus_bits <= 16 for e in report.entries if e.expected)
 

@@ -19,7 +19,7 @@ from permniven.serialize import (
 )
 
 
-def test_report_round_trip_both_proof_kinds():
+def test_report_round_trip():
     for k in (2, 5):
         report = search(SearchConfig(k=k))
         text = report_to_json(report)
