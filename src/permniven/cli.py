@@ -220,6 +220,8 @@ def _factored_str(cons: ConjectureConstraints) -> str:
 
 def _cmd_repdigit(ns: argparse.Namespace) -> int:
     if ns.sweep is not None:
+        if ns.sweep < 1:
+            raise UsageError("--sweep LIMIT must be >= 1")
         values = exact_condition_sweep(ns.sweep)
         if ns.format == "json":
             sys.stdout.write(to_json_text({"limit": ns.sweep, "k_values": values}))
@@ -269,7 +271,10 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
         delta1=ns.delta1, delta2=ns.delta2, delta3=ns.delta3, delta4=ns.delta4,
         delta5=ns.delta5,
     )
-    chk = repdigit_niven_check(ns.a, cons)  # OverflowError when k is too large
+    try:
+        chk = repdigit_niven_check(ns.a, cons)
+    except OverflowError as exc:  # k above K_BIT_CAP, refused before any work
+        raise UsageError(str(exc)) from exc
     k_value = cons.k
     if ns.format == "json":
         obj = {

@@ -70,7 +70,10 @@ _LADDER: dict[str, int] = {
     "delta5": 4,
 }
 
-_MATERIALIZE_BIT_GUARD = 2**20
+# ConjectureConstraints.k refuses widths of more bits: the two checks of
+# 10^k mod 9k and mod 9ka take about a second at this size (2 cores, Python
+# 3.11), and their time grows faster than the square of the bit length.
+K_BIT_CAP = 6144
 
 # verify_conjecture_grid skips tuples whose modulus 9k may exceed this many bits
 GRID_BIT_CAP = 4096
@@ -137,8 +140,10 @@ class ConjectureConstraints:
 
     @property
     def k(self) -> int:
-        if self.bit_estimate > _MATERIALIZE_BIT_GUARD:
-            raise OverflowError("k too large to materialize; keep it factored")
+        if self.bit_estimate > K_BIT_CAP:
+            raise OverflowError(
+                f"k has about {self.bit_estimate} bits, above the {K_BIT_CAP}-bit cap"
+            )
         return prod(p**e for p, e in self.factors)
 
 
@@ -256,8 +261,21 @@ def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridR
 
 
 def exact_condition_sweep(limit: int) -> list[int]:
-    """All k <= limit with 10^k == 1 (mod 9k), by direct scan."""
-    return [k for k in range(1, limit + 1) if pow(10, k, 9 * k) == 1]
+    """All k <= limit with 10^k == 1 (mod 9k), scanning only the k that can
+    qualify.
+
+    Let k > 1 qualify.  Then 10 is a unit mod 9k, so k is odd and 5 does not
+    divide it.  Let p be the smallest prime factor of k.  The order of 10
+    mod p divides k, as 10^k == 1 (mod p), and divides p - 1 by Fermat.
+    Every prime factor of p - 1 is below p and so does not divide k, hence
+    gcd(k, p - 1) = 1, the order is 1, and p divides 10 - 1 = 9: p = 3.
+    So k is an odd multiple of 3, k == 3 (mod 6), and 5 does not divide it.
+    """
+    if limit < 1:
+        return []
+    return [1] + [
+        k for k in range(3, limit + 1, 6) if k % 5 and pow(10, k, 9 * k) == 1
+    ]
 
 
 # --- zero insertion ---------------------------------------------------------------

@@ -41,7 +41,7 @@ __all__ = [
     "search",
 ]
 
-CENSUS_MAX = 10**7
+CENSUS_MAX = 10**18
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,24 +148,93 @@ class CensusResult(NamedTuple):
     digit_sum_histogram: dict[int, int]
 
 
-def _niven_count_upto(max_value: int) -> int:
-    # digit sum maintained incrementally; a trailing 9 rolling over drops it by 9
-    count = 0
-    s = 0
-    for n in range(1, max_value + 1):
-        s += 1
-        m = n
-        while m % 10 == 0:
-            s -= 9
-            m //= 10
-        if n % s == 0:
-            count += 1
+def _niven_count(max_value: int) -> int:
+    """Niven numbers in [1, max_value], by digit DP for each digit sum s.
+
+    Numbers below max_value are digit strings of its width L with leading
+    zeros allowed.  For each s, f[m][r] holds the m-digit strings of digit
+    sum r, counted by value mod s and packed into one int, `width` bits per
+    residue as in ``orbits.is_pinn_residue_count``.  A leading digit d adds
+    d * 10^(m-1), which rotates the residues by that amount mod s.  The
+    walk down max_value's digits then counts, at each position, the strings
+    that follow its prefix and put a smaller digit there: the tail must
+    bring the digit sum to s and the value to 0 mod s.
+    """
+    top = str(max_value)
+    L = len(top)
+    digits = [int(ch) for ch in top]
+    # no lane counts more than the 10^(L-1) strings of the widest tail
+    width = (10 ** (L - 1)).bit_length()
+    lane = (1 << width) - 1
+    count = 1 if max_value % sum(digits) == 0 else 0  # the walk counts below it
+    for s in range(1, 9 * L + 1):
+        low = [(1 << (width * j)) - 1 for j in range(s + 1)]
+
+        def rotate(packed: int, a: int) -> int:
+            return ((packed & low[s - a]) << (width * a)) | (packed >> (width * (s - a)))
+
+        f = [[1]]  # the empty string: digit sum 0, residue 0
+        for m in range(1, L):
+            prev = f[-1]
+            p = pow(10, m - 1, s)
+            row = []
+            acc = 0
+            for r in range(min(s, 9 * m) + 1):
+                # f[m][r] = sum over d <= 9 of prev[r - d] rotated by d * p:
+                # rotating f[m][r - 1] by p shifts every term one digit up,
+                # the term that reaches d = 10 drops out and d = 0 comes in;
+                # each lane holds at least what is subtracted, so no borrow
+                # crosses a lane
+                acc = rotate(acc, p)
+                if 0 <= r - 10 < len(prev):
+                    acc -= rotate(prev[r - 10], 10 * p % s)
+                if r < len(prev):
+                    acc += prev[r]
+                row.append(acc)
+            f.append(row)
+        prefix_sum = prefix_mod = 0
+        for i, t in enumerate(digits):
+            m = L - 1 - i
+            row = f[m]
+            scale = pow(10, m, s)
+            for d in range(t):
+                r = s - prefix_sum - d
+                if 0 <= r < len(row):
+                    need = -(prefix_mod * 10 + d) * scale % s
+                    count += row[r] >> (width * need) & lane
+            prefix_sum += t
+            prefix_mod = (prefix_mod * 10 + t) % s
+            if prefix_sum > s:
+                break
     return count
+
+
+def _arrangements_upto(m: DigitMultiset, top: str) -> int:
+    """Arrangements of m not led by zero that are <= top, a digit string of
+    width m.k, by multiset-permutation ranking in O(10k)."""
+    counts = list(m.counts)
+    n = m.k
+    rest = m.orbit_size  # arrangements of the digits not yet placed
+    below = 0
+    for i, t in enumerate(map(int, top)):
+        # those that follow top up to position i and put a smaller digit
+        # there; rest * counts[d] / n of them put d there
+        below += rest * sum(counts[1 if i == 0 else 0:t]) // n
+        if not counts[t]:
+            return below
+        rest = rest * counts[t] // n
+        counts[t] -= 1
+        n -= 1
+    return below + 1  # top itself
 
 
 def census(max_value: int) -> CensusResult:
     """Count PINNs and Niven numbers in [1, max_value], with the PINN
     digit-sum histogram.
+
+    Niven numbers come from ``_niven_count``'s digit DP.  PINNs come from
+    the search at each width: every value of each class below max_value's
+    width, and at that width the arrangements up to max_value.
 
     Verifies on the way that every counted PINN class with more than one
     nonzero digit, repdigits aside, has digit sum divisible by 3 and
@@ -188,17 +257,11 @@ def census(max_value: int) -> CensusResult:
                         f"digit-sum property violated by {rec.canonical}: "
                         f"sum {rec.digit_sum}"
                     )
-            if k < top_k:
-                n_values = m.value_count
-            else:
-                # equal-width digit strings compare as their values do
-                n_values = sum(
-                    1 for perm in orbit(m) if perm[0] != "0" and perm <= top
-                )
+            n_values = m.value_count if k < top_k else _arrangements_upto(m, top)
             pinn_count += n_values
             histogram[rec.digit_sum] += n_values
     return CensusResult(
         pinn_count=pinn_count,
-        niven_count=_niven_count_upto(max_value),
+        niven_count=_niven_count(max_value),
         digit_sum_histogram={s: c for s, c in sorted(histogram.items()) if c},
     )

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import time
 
 import pytest
 
@@ -200,6 +201,20 @@ def test_repdigit_sweep(capsys):
     assert lines[0] == "1 1" and lines[-1] == "12 2997"
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_repdigit_sweep_rejects_a_limit_below_one(capsys, limit):
+    assert run(["repdigit", "--sweep", limit]) == 2
+    assert "--sweep" in capsys.readouterr().err
+
+
+def test_repdigit_refuses_a_width_over_the_bit_cap_at_once(capsys):
+    # k = 3^500000 has a million bits; 10^k mod 9k would run for hours
+    t0 = time.monotonic()
+    assert run(["repdigit", "--n", "500000"]) == 2
+    assert time.monotonic() - t0 < 1
+    assert "6144-bit cap" in capsys.readouterr().err
+
+
 def test_order(capsys):
     assert run(["order", "--m", "757"]) == 0
     assert "27" in capsys.readouterr().out
@@ -212,7 +227,17 @@ def test_census(capsys):
     assert run(["census", "--max", "999"]) == 0
     assert "PINNs <= 999: 114" in capsys.readouterr().out
     assert run(["census", "--max", "999", "--format", "bfile"]) == 2
-    assert run(["census", "--max", str(10**9)]) == 2
+    assert run(["census", "--max", str(10**18 + 1)]) == 2
+    assert run(["census", "--max", "0"]) == 2
+
+
+def test_census_at_the_cap_within_seconds(capsys):
+    t0 = time.monotonic()
+    assert run(["census", "--max", str(10**18), "--format", "json"]) == 0
+    assert time.monotonic() - t0 < 5
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["max_value"] == 10**18
+    assert sum(obj["digit_sum_histogram"].values()) == obj["pinn_count"]
 
 
 def test_probe(capsys):

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from permniven.numtheory import (
+    TRIAL_LIMIT,
     NotCoprime,
     PrimalityVerdict,
     factorize,
@@ -85,8 +86,10 @@ def test_probable_prime_rejects_large_composites():
 
 def test_factorize_reconstructs_and_yields_primes():
     rng = random.Random(37)
-    for _ in range(200):
-        n = rng.randrange(2, 10**12)
+    ns = [rng.randrange(2, 10**12) for _ in range(200)]
+    # past 10^12 more factors lie beyond trial division and fall to rho
+    ns += [rng.randrange(2, 10**16) for _ in range(300)]
+    for n in ns:
         f = factorize(n)
         prod = 1
         for p, e in f.items():
@@ -95,6 +98,22 @@ def test_factorize_reconstructs_and_yields_primes():
         assert prod == n
     assert factorize(2**10) == {2: 10}
     assert factorize(86455449) == {3: 2, 9606161: 1}
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (10007**2, {10007: 2}),
+        (10007**3 * 999983**2, {10007: 3, 999983: 2}),
+        (99991 * 99989, {99991: 1, 99989: 1}),
+        (65537**4, {65537: 4}),
+        ((2**61 - 1) * 1000003, {2**61 - 1: 1, 1000003: 1}),
+    ],
+)
+def test_factorize_finds_factors_beyond_trial_division(n, factors):
+    # every prime here lies above the trial-division limit, so rho finds it
+    assert min(factors) > TRIAL_LIMIT
+    assert factorize(n) == factors
 
 
 def test_multiplicative_order_matches_brute_force():

@@ -75,6 +75,14 @@ def test_factored_k_value_and_guard():
     with pytest.raises(OverflowError):
         huge.k
     assert huge.bit_estimate > 10**6
+    # bit_estimate counts 2 bits per factor 3, plus one
+    at_cap = ConjectureConstraints(n=(repdigits.K_BIT_CAP - 1) // 2)
+    assert at_cap.bit_estimate <= repdigits.K_BIT_CAP
+    assert at_cap.k == 3**at_cap.n
+    over = ConjectureConstraints(n=at_cap.n + 1)
+    assert over.bit_estimate > repdigits.K_BIT_CAP
+    with pytest.raises(OverflowError):
+        repdigit_niven_check(1, over)
 
 
 def test_empty_exponents_mean_k_equals_one():
@@ -129,9 +137,13 @@ def test_grid_bit_cap_skips_and_reports(monkeypatch):
 def test_sweep_prefix_and_completeness():
     assert exact_condition_sweep(3000) == SWEEP_PREFIX
     assert len(exact_condition_sweep(10**5)) == 25
-    # brute comparison over a modest window
-    brute = [k for k in range(1, 1200) if pow(10, k, 9 * k) == 1]
-    assert exact_condition_sweep(1199) == brute
+    assert len(exact_condition_sweep(3 * 10**5)) == 31
+    # the sweep visits only k == 3 (mod 6); the brute scan visits every k
+    brute = [k for k in range(1, 10**5 + 1) if pow(10, k, 9 * k) == 1]
+    assert exact_condition_sweep(10**5) == brute
+    assert exact_condition_sweep(1199) == [k for k in brute if k <= 1199]
+    assert exact_condition_sweep(1) == exact_condition_sweep(2) == [1]
+    assert exact_condition_sweep(0) == exact_condition_sweep(-5) == []
 
 
 def test_sweep_members_satisfy_the_ladder_parameterization():

@@ -6,6 +6,7 @@ test-side reference for that scan.
 """
 from __future__ import annotations
 
+import random
 from itertools import combinations_with_replacement, permutations
 
 import pytest
@@ -17,6 +18,7 @@ from permniven.search import (
     CENSUS_MAX,
     SearchConfig,
     SearchReport,
+    _arrangements_upto,
     census,
     report_values,
     search,
@@ -245,13 +247,64 @@ def test_census_counts():
     assert census(10**4 - 1).pinn_count == sum(PER_K_VALUE_COUNTS[:4])
 
 
+def brute_niven_counts(bounds) -> dict[int, int]:
+    """Reference: Niven numbers in [1, b] for each bound b, by one walk over
+    every integer up to the largest."""
+    want = sorted(set(bounds))
+    out = {}
+    count = 0
+    s = 0  # digit sum, kept incrementally: a trailing 9 rolling over drops it by 9
+    n = 0
+    for b in want:
+        while n < b:
+            n += 1
+            s += 1
+            m = n
+            while m % 10 == 0:
+                s -= 9
+                m //= 10
+            if n % s == 0:
+                count += 1
+        out[b] = count
+    return out
+
+
 def test_census_niven_count_against_bruteforce():
-    for bound in (9, 100, 2500, 9999):
-        brute = sum(
-            1 for n in range(1, bound + 1)
-            if n % sum(int(c) for c in str(n)) == 0
+    rng = random.Random(61)
+    small = [9, 100, 2500, 9999]
+    bounds = small + [rng.randrange(1, 10**6 + 1) for _ in range(12)] + [3456789, 10**7]
+    brute = brute_niven_counts(bounds)
+    for b in small:
+        assert brute[b] == sum(
+            1 for n in range(1, b + 1) if n % sum(int(c) for c in str(n)) == 0
         )
-        assert census(bound).niven_count == brute
+    for b in bounds:
+        assert census(b).niven_count == brute[b], b
+
+
+def test_top_width_ranking_matches_orbit_enumeration():
+    rng = random.Random(67)
+    for k in range(1, 9):
+        tops = {str(10 ** (k - 1)), "9" * k}
+        tops.update(str(rng.randrange(10 ** (k - 1), 10**k)) for _ in range(6))
+        for rec in search(SearchConfig(k=k)).records:
+            perms = [p for p in orbit(rec.multiset) if p[0] != "0"]
+            # the class's own values make tops that hit an arrangement exactly
+            chosen = tops | {rng.choice(perms), rec.canonical}
+            for top in chosen:
+                want = sum(1 for p in perms if p <= top)
+                assert _arrangements_upto(rec.multiset, top) == want, (rec.canonical, top)
+
+
+def test_census_at_large_bounds():
+    # 10^n itself is a PINN (digit sum 1), so the PINNs up to 10^n are every
+    # value of every class below width n + 1, plus one
+    below = [sum(r.multiset.value_count for r in search(SearchConfig(k=k)).records)
+             for k in range(1, 13)]
+    assert census(10**8).niven_count == 6954793
+    result = census(10**12)
+    assert result.niven_count == 45975917532
+    assert result.pinn_count == sum(below) + 1
 
 
 def test_census_histogram_counts_values():
