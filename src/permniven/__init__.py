@@ -54,7 +54,6 @@ from .orbits import (
     is_pinn_residue_count,
     make_record,
     orbit,
-    values_permutation_closed,
 )
 from .repdigits import (
     CONJECTURE_PRIMES,
@@ -147,7 +146,6 @@ __all__ = [
     "search",
     "template",
     "value_mod",
-    "values_permutation_closed",
     "verify_conjecture_grid",
     "verify_family",
     "zero_augmentation_property",

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .digits import DigitMultiset, value_mod
 
@@ -45,7 +45,6 @@ __all__ = [
     "make_record",
     "orbit",
     "residue_table_size",
-    "values_permutation_closed",
 ]
 
 DEFAULT_ORBIT_BUDGET = 10**7
@@ -298,21 +297,3 @@ def make_record(m: DigitMultiset) -> PinnRecord | None:
         proof=proof,
     )
 
-
-# --- permutation closure ------------------------------------------------------
-
-def values_permutation_closed(values: Iterable[int]) -> bool:
-    """True iff every same-length rearrangement of each value is present.
-
-    Rearrangements that would lead with zero drop to fewer digits and are
-    not required (they belong to shorter-length value sets).
-    """
-    vals = set(values)
-    for v in vals:
-        a = sorted(str(v))
-        while True:
-            if a[0] != "0" and int("".join(a)) not in vals:
-                return False
-            if not _next_permutation(a):
-                break
-    return True

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Sequence
 from .digits import DigitMultiset, format_number
 from .families import FamilyInstance
 from .orbits import CriterionProof, FailureWitness, PinnRecord
-from .repdigits import GridReport
+from .repdigits import ConjectureConstraints, GridReport
 from .search import CensusResult, SearchReport
 
 __all__ = [
@@ -150,16 +150,18 @@ def family_instances_to_obj(instances: Iterable[FamilyInstance]) -> list[dict[st
     ]
 
 
+_EXPONENT_NAMES = tuple(f.name for f in fields(ConjectureConstraints))
+
+
 def grid_report_to_obj(report: GridReport) -> dict[str, Any]:
-    names = [f.name for f in fields(report.bounds)]
     return {
-        "bounds": dict(zip(names, report.bounds.as_tuple())),
+        "bounds": dict(zip(_EXPONENT_NAMES, report.bounds.as_tuple())),
         "bit_cap": report.bit_cap,
         "skipped_over_cap": report.skipped_over_cap,
         "all_ok": report.all_ok,
         "entries": [
             {
-                "exponents": dict(zip(names, e.exponents.as_tuple())),
+                "exponents": dict(zip(_EXPONENT_NAMES, e.exponents.as_tuple())),
                 "modulus_bits": e.modulus_bits,
                 "exact": e.exact,
                 "expected": e.expected,

@@ -27,11 +27,11 @@ from permniven.orbits import (
     is_pinn_bruteforce,
     is_pinn_criterion,
     residue_table_size,
-    values_permutation_closed,
 )
 from permniven.repdigits import DISTINGUISHED_PRIMES, verify_conjecture_grid, zero_insertion_probe
 from permniven.search import SearchConfig, report_values, search
 from permniven.serialize import report_to_json
+from test_orbits import values_permutation_closed
 
 
 def _passed(n: int, detail: str) -> None:

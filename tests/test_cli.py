@@ -195,6 +195,32 @@ def test_repdigit_grid(capsys):
     assert run(["repdigit", "--grid", "--format", "bfile"]) == 2
 
 
+def test_repdigit_grid_text_keeps_the_time_off_stdout(capsys):
+    runs = []
+    for _ in range(2):
+        assert run(["repdigit", "--grid"]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0].out == runs[1].out
+    assert "took" not in runs[0].out
+    assert re.fullmatch(r"grid took \d+\.\d\ds\n", runs[0].err)
+
+
+def test_repdigit_grid_refuses_too_many_tuples_at_once(capsys):
+    t0 = time.monotonic()
+    assert run(["repdigit", "--grid", "--max-exp", "3", "--format", "json"]) == 0
+    assert time.monotonic() - t0 < 1
+    obj = json.loads(capsys.readouterr().out)
+    assert len(obj["entries"]) == 277 + 9 and obj["all_ok"]
+    # uniform bounds of 4 hold 1953781 ladder tuples, about a minute of work
+    t0 = time.monotonic()
+    assert run(["repdigit", "--grid", "--max-exp", "4"]) == 2
+    assert time.monotonic() - t0 < 1
+    assert "1953781 ladder tuples" in capsys.readouterr().err
+    # the count is closed-form, so no bound is too large to refuse
+    assert run(["repdigit", "--grid", "--max-exp", str(10**30)]) == 2
+    assert "ladder tuples" in capsys.readouterr().err
+
+
 def test_repdigit_sweep(capsys):
     assert run(["repdigit", "--sweep", "3000", "--format", "bfile"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -21,7 +21,6 @@ from permniven.orbits import (
     make_record,
     orbit,
     residue_table_size,
-    values_permutation_closed,
 )
 
 
@@ -30,6 +29,21 @@ def brute_pinn(digits) -> bool:
     s = sum(digits)
     return all(
         int("".join(map(str, p))) % s == 0 for p in set(permutations(digits))
+    )
+
+
+def values_permutation_closed(values) -> bool:
+    """True iff every same-length rearrangement of each value is present.
+
+    Rearrangements that would lead with zero drop to fewer digits and are
+    not required (they belong to shorter-length value sets).
+    """
+    vals = set(values)
+    return all(
+        int("".join(p)) in vals
+        for v in vals
+        for p in set(permutations(str(v)))
+        if p[0] != "0"
     )
 
 

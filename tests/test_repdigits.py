@@ -1,7 +1,9 @@
 """Repdigit divisibility conditions, the exponent grid, and zero probes."""
 from __future__ import annotations
 
+import math
 import random
+from itertools import product
 
 import pytest
 
@@ -123,6 +125,67 @@ def test_grid_default_bounds_pass():
     negatives = [e for e in report.entries if not e.expected]
     assert len(negatives) == 9  # one minimal violation per non-n parameter
     assert all(not e.exact for e in negatives)
+
+
+def reference_grid(bounds):
+    """The grid by the plain route: every tuple within bounds, filtered by
+    the ladder, decided by pow with k itself as the exponent; then the nine
+    minimal violations.  Returns (entries, skipped_over_cap)."""
+    entries = []
+    skipped = 0
+    for combo in product(*(range(e + 1) for e in bounds.as_tuple())):
+        exp = ConjectureConstraints(*combo)
+        if not exp.satisfies_ladder():
+            continue
+        if exp.bit_estimate + 4 > repdigits.GRID_BIT_CAP:
+            skipped += 1
+            continue
+        m = 9 * exp.k
+        entries.append((combo, m.bit_length(), pow(10, exp.k, m) == 1, True))
+    # each parameter with ord_p(10) = 3^j is allowed from n = j on
+    for name, p in CONJECTURE_PRIMES.items():
+        if name == "n":
+            continue
+        floor_n = round(math.log(multiplicative_order(10, p), 3))
+        exp = ConjectureConstraints(n=floor_n - 1, **{name: 1})
+        m = 9 * exp.k
+        entries.append((exp.as_tuple(), m.bit_length(), pow(10, exp.k, m) == 1, False))
+    return entries, skipped
+
+
+# The reference builds every one of the 4^10 tuples of uniform bounds 3,
+# about 6 s, so the lowered caps run on the default bounds only.
+GRID_CASES = {
+    **{f"uniform{e}": (ConjectureConstraints(*[e] * 10), None) for e in range(4)},
+    "default": (DEFAULT_GRID_BOUNDS, None),
+    "default-cap16": (DEFAULT_GRID_BOUNDS, 16),
+    "default-cap64": (DEFAULT_GRID_BOUNDS, 64),
+}
+
+
+@pytest.mark.parametrize("bounds, bit_cap", GRID_CASES.values(), ids=GRID_CASES)
+def test_grid_matches_the_plain_reference(monkeypatch, bounds, bit_cap):
+    if bit_cap is not None:
+        monkeypatch.setattr(repdigits, "GRID_BIT_CAP", bit_cap)
+    report = verify_conjecture_grid(bounds)
+    entries, skipped = reference_grid(bounds)
+    assert [
+        (e.exponents.as_tuple(), e.modulus_bits, e.exact, e.expected)
+        for e in report.entries
+    ] == entries
+    assert report.skipped_over_cap == skipped
+    assert report.bit_cap == repdigits.GRID_BIT_CAP
+    if bit_cap is not None:
+        assert skipped > 0
+
+
+def test_grid_refuses_too_many_ladder_tuples():
+    with pytest.raises(OverflowError, match="1953781 ladder tuples"):
+        verify_conjecture_grid(ConjectureConstraints(*[4] * 10))
+    # ladder-free parameters add nothing, however large their bound
+    report = verify_conjecture_grid(ConjectureConstraints(n=0, delta5=10**12))
+    assert report.entries[0].exponents == ConjectureConstraints()
+    assert len(report.entries) == 1 + 9
 
 
 def test_grid_bit_cap_skips_and_reports(monkeypatch):
