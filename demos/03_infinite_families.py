@@ -7,22 +7,23 @@ padding; the families therefore produce PINNs at every width past their
 minimum.
 """
 from permniven import (
-    TEMPLATES,
+    FAMILY_IDS,
     instantiate,
-    template,
     verify_family,
     zero_augmentation_property,
 )
 
 print("family  min_k  members  sample member at k=14")
-for tpl in TEMPLATES:
-    inst = instantiate(tpl, 14)
-    sample = inst.members[0].canonical
-    print(f"{tpl.id:6}  {tpl.min_k:5}  {len(inst.members):7}  {sample}")
+for fid in FAMILY_IDS:
+    inst = instantiate(fid, 14)
+    sample = inst.members[0]
+    # the smallest width is the core's, the nonzero digits, plus one zero
+    min_k = sample.k - sample.counts[0] + 1
+    print(f"{fid:6}  {min_k:5}  {len(inst.members):7}  {sample.canonical}")
 
 # Every member re-proves at an arbitrary width: the congruence criterion
 # and the residue-counting DP, which never enumerates the orbit, both agree.
-inst = instantiate(template("ke"), 20)
+inst = instantiate("ke", 20)
 results = verify_family(inst)
 print(f"\nke at k=20: {sum(ok for _, ok, _ in results)}/{len(results)} verified")
 

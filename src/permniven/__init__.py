@@ -22,13 +22,10 @@ from .digits import (
 )
 from .families import (
     FAMILY_IDS,
-    TEMPLATES,
     FamilyInstance,
-    FamilyTemplate,
     KTooSmall,
     catalog,
     instantiate,
-    template,
     verify_family,
     zero_augmentation_property,
 )
@@ -103,7 +100,6 @@ __all__ = [
     "FactorizationTimeout",
     "FailureWitness",
     "FamilyInstance",
-    "FamilyTemplate",
     "GridEntry",
     "GridReport",
     "KTooSmall",
@@ -113,7 +109,6 @@ __all__ = [
     "RepdigitCheck",
     "SearchConfig",
     "SearchReport",
-    "TEMPLATES",
     "ZeroInsertionProbe",
     "bfile_text",
     "catalog",
@@ -144,7 +139,6 @@ __all__ = [
     "report_to_json",
     "report_values",
     "search",
-    "template",
     "value_mod",
     "verify_conjecture_grid",
     "verify_family",

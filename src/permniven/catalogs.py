@@ -21,21 +21,14 @@ groups whose cores fit in k digits, each core padded with zeros to width k
 undersized entry printed in the 4-digit source table, 900, is thereby
 completed to 9000).  Cores are written in the run-compressed notation of
 the longer tables, in the printed order.
+
+This module holds the data only.  The padding lives in ``families``, whose
+``catalog(k)`` and ``instantiate(family_id, k)`` are two views of
+GROUP_CORES: the k <= 9 catalog and the ten families at any width.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .digits import DigitMultiset, parse_number
-
-__all__ = [
-    "GROUP_CORES",
-    "GROUP_CORE_LENGTH",
-    "NN2_VALUES",
-    "catalog_class_set",
-    "catalog_groups",
-    "group_ids",
-]
+__all__ = ["GROUP_CORES", "NN2_VALUES"]
 
 # Zero-free cores, one tuple per printed group.
 GROUP_CORES: tuple[tuple[str, ...], ...] = (
@@ -57,49 +50,8 @@ GROUP_CORES: tuple[tuple[str, ...], ...] = (
      "9_(9)"),
 )
 
-# Digits per core in each group (cores within a group share their length).
-GROUP_CORE_LENGTH: tuple[int, ...] = (1, 2, 3, 3, 4, 5, 6, 7, 8, 9)
-
 # The complete list of 2-digit PINN values, as printed.
 NN2_VALUES: tuple[int, ...] = (
     10, 12, 18, 20, 21, 24, 27, 30, 36, 40, 42, 45, 48, 50, 54, 60, 63, 70,
     72, 80, 81, 84, 90,
 )
-
-
-@lru_cache(maxsize=None)
-def _core_multisets(group: int) -> tuple[DigitMultiset, ...]:
-    return tuple(
-        DigitMultiset.from_string(parse_number(core))
-        for core in GROUP_CORES[group]
-    )
-
-
-def group_ids(k: int) -> tuple[str, ...]:
-    """Group labels for the k-digit catalog: N{k}1, N{k}2, ..."""
-    n = sum(1 for length in GROUP_CORE_LENGTH if length <= k)
-    return tuple(f"N{k}{i}" for i in range(1, n + 1))
-
-
-def catalog_groups(k: int) -> list[tuple[str, tuple[DigitMultiset, ...]]]:
-    """The k-digit catalog as (group id, padded classes), printed order."""
-    if not 1 <= k <= 9:
-        raise ValueError(f"catalog covers k = 1..9, got {k}")
-    out = []
-    i = 0
-    for group, length in enumerate(GROUP_CORE_LENGTH):
-        if length > k:
-            continue
-        i += 1
-        members = tuple(
-            m.with_zeros(k - length) for m in _core_multisets(group)
-        )
-        out.append((f"N{k}{i}", members))
-    return out
-
-
-def catalog_class_set(k: int) -> frozenset[DigitMultiset]:
-    """All k-digit catalog classes as one set."""
-    return frozenset(
-        m for _, members in catalog_groups(k) for m in members
-    )

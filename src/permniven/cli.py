@@ -5,7 +5,9 @@ families, catalog, repdigit, order, census, probe-zero-insertion.  Output
 goes to stdout in one of four formats (text, json, csv, bfile); bfile is
 only meaningful for plain value lists.  Exit status is 0 on success, 1
 when a verification produced a negative verdict or could not finish
-(deciders that disagree included), and 2 on usage errors.
+(deciders that disagree and internal faults included), and 2 on usage
+errors and nothing else: a malformed argument, or a value the library
+refuses because of what the user typed.
 
 `check` and `families --verify` share ``orbits.decide_pinn``: the
 congruence criterion, cross-checked by the residue-counting DP when its
@@ -17,11 +19,10 @@ Numbers may be typed as plain digits or in run-compressed notation, so
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import sys
-from typing import Any, Sequence
+from contextlib import contextmanager
+from typing import Any, Iterator, Sequence
 
 from .digits import (
     DigitMultiset,
@@ -29,7 +30,7 @@ from .digits import (
     format_number,
     parse_number,
 )
-from .families import TEMPLATES, KTooSmall, instantiate, verify_family
+from .families import FAMILY_IDS, KTooSmall, instantiate, verify_family
 from .families import catalog as reference_catalog
 from .numtheory import FactorizationTimeout, NotCoprime, multiplicative_order
 from .orbits import DEFAULT_ORBIT_BUDGET, decide_pinn
@@ -52,6 +53,7 @@ from .serialize import (
     _proof_to_obj,
     bfile_text,
     census_to_obj,
+    csv_text,
     family_instances_to_obj,
     grid_report_to_obj,
     records_to_csv,
@@ -75,20 +77,26 @@ def _require_format(fmt: str, *allowed: str) -> None:
         )
 
 
-def _csv_rows(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+@contextmanager
+def _user_input() -> Iterator[None]:
+    """Turn a ValueError raised inside the block into a UsageError.
+
+    Wrap only calls that hand the library what the user typed, so that any
+    other ValueError stays an internal fault.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # --- subcommands ---------------------------------------------------------------------
 
 def _cmd_check(ns: argparse.Namespace) -> int:
     _require_format(ns.format, "text", "json")
-    digits = parse_number(ns.number)
-    m = DigitMultiset.from_string(digits)
+    with _user_input():
+        digits = parse_number(ns.number)
+        m = DigitMultiset.from_string(digits)
     s = m.digit_sum
     ok, proof, residue_counted = decide_pinn(m, ns.budget)
     pretty = digits if len(digits) <= 40 else format_number(digits)
@@ -125,11 +133,12 @@ def _cmd_check(ns: argparse.Namespace) -> int:
 
 
 def _cmd_search(ns: argparse.Namespace) -> int:
-    cfg = SearchConfig(
-        k=ns.k,
-        allow_zero=not ns.no_zeros,
-        exclude_repdigits=ns.exclude_repdigits,
-    )
+    with _user_input():
+        cfg = SearchConfig(
+            k=ns.k,
+            allow_zero=not ns.no_zeros,
+            exclude_repdigits=ns.exclude_repdigits,
+        )
     report = search(cfg)
     if ns.format == "json":
         sys.stdout.write(report_to_json(report))
@@ -174,11 +183,12 @@ def _render_instances(ns: argparse.Namespace, instances, verify_failures=None) -
             for m in inst.members
         ]
         sys.stdout.write(
-            _csv_rows(["family", "k", "canonical", "digit_sum", "orbit_size"], rows)
+            csv_text(["family", "k", "canonical", "digit_sum", "orbit_size"], rows)
         )
     elif ns.format == "bfile":
-        # one line per class, by canonical representative
-        values = {int(m.canonical) for inst in instances for m in inst.members}
+        # one line per class, by canonical representative; every one has
+        # width k, so string order is numeric order
+        values = {m.canonical for inst in instances for m in inst.members}
         sys.stdout.write(bfile_text(sorted(values)))
     else:
         for inst in instances:
@@ -195,7 +205,7 @@ def _render_instances(ns: argparse.Namespace, instances, verify_failures=None) -
 
 
 def _cmd_families(ns: argparse.Namespace) -> int:
-    instances = [instantiate(tpl, ns.k) for tpl in TEMPLATES]
+    instances = [instantiate(fid, ns.k) for fid in FAMILY_IDS]
     failures = None
     if ns.verify:
         failures = []
@@ -226,7 +236,7 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
         if ns.format == "json":
             sys.stdout.write(to_json_text({"limit": ns.sweep, "k_values": values}))
         elif ns.format == "csv":
-            sys.stdout.write(_csv_rows(["k"], [(v,) for v in values]))
+            sys.stdout.write(csv_text(["k"], [(v,) for v in values]))
         elif ns.format == "bfile":
             sys.stdout.write(bfile_text(values))
         else:
@@ -239,7 +249,8 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
         if ns.max_exp is None:
             bounds = DEFAULT_GRID_BOUNDS
         else:
-            bounds = ConjectureConstraints(*([ns.max_exp] * 10))
+            with _user_input():
+                bounds = ConjectureConstraints(*([ns.max_exp] * 10))
         try:
             report = verify_conjecture_grid(bounds)
         except OverflowError as exc:  # too many ladder tuples, refused before any work
@@ -252,7 +263,7 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
                 for e in report.entries
             ]
             sys.stdout.write(
-                _csv_rows(["exponents", "modulus_bits", "exact", "expected"], rows)
+                csv_text(["exponents", "modulus_bits", "exact", "expected"], rows)
             )
         else:
             print(
@@ -270,11 +281,12 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
     _require_format(ns.format, "text", "json")
     if not 1 <= ns.a <= 9:
         raise UsageError("--a must be a digit 1..9")
-    cons = ConjectureConstraints(
-        n=ns.n, alpha=ns.alpha, beta=ns.beta, gamma1=ns.gamma1, gamma2=ns.gamma2,
-        delta1=ns.delta1, delta2=ns.delta2, delta3=ns.delta3, delta4=ns.delta4,
-        delta5=ns.delta5,
-    )
+    with _user_input():
+        cons = ConjectureConstraints(
+            n=ns.n, alpha=ns.alpha, beta=ns.beta, gamma1=ns.gamma1, gamma2=ns.gamma2,
+            delta1=ns.delta1, delta2=ns.delta2, delta3=ns.delta3, delta4=ns.delta4,
+            delta5=ns.delta5,
+        )
     try:
         chk = repdigit_niven_check(ns.a, cons)
     except OverflowError as exc:  # k above K_BIT_CAP, refused before any work
@@ -305,6 +317,8 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
 
 def _cmd_order(ns: argparse.Namespace) -> int:
     _require_format(ns.format, "text", "json")
+    if ns.m < 1:
+        raise UsageError("--m must be >= 1")
     t = multiplicative_order(10, ns.m)
     if ns.format == "json":
         sys.stdout.write(to_json_text({"base": 10, "modulus": ns.m, "order": t}))
@@ -326,7 +340,7 @@ def _cmd_census(ns: argparse.Namespace) -> int:
         sys.stdout.write(to_json_text(census_to_obj(result, ns.max)))
     elif ns.format == "csv":
         sys.stdout.write(
-            _csv_rows(
+            csv_text(
                 ["digit_sum", "count"],
                 sorted(result.digit_sum_histogram.items()),
             )
@@ -341,7 +355,8 @@ def _cmd_census(ns: argparse.Namespace) -> int:
 
 def _cmd_probe(ns: argparse.Namespace) -> int:
     _require_format(ns.format, "text", "json")
-    probe = zero_insertion_probe(ns.number, ns.position, ns.zeros)
+    with _user_input():
+        probe = zero_insertion_probe(ns.number, ns.position, ns.zeros)
     modulus = digit_sum_of(parse_number(ns.number))
     if ns.format == "json":
         obj = {
@@ -480,9 +495,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return ns.func(ns)
-    except (UsageError, NotCoprime, KTooSmall, ValueError) as exc:
+    except (UsageError, NotCoprime, KTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:  # not from user input, so not a usage error
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except (FactorizationTimeout, ArithmeticError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

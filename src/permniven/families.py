@@ -1,21 +1,26 @@
-"""Closed-form PINN families: zero-padded cores valid at every width.
+"""Closed-form PINN families and the k <= 9 catalog: two views of one table.
 
-Each family takes a fixed set of zero-free cores and pads them with zeros
-to the requested total width k.  The ten families cover the same cores as
-the k <= 9 reference catalog groups; their point is that the padding count
-is a free parameter, so each family yields PINN classes at arbitrarily
-large k.  verify_family re-proves the claim instance by instance instead
-of trusting it, with ``orbits.decide_pinn``, the rule ``check`` also uses:
-two deciders that share no reasoning, the congruence criterion,
-O(pairs + k), and the residue-counting DP, whose table grows about
-linearly in k for these members (155520 entries at k = 200).
-The tested range is k <= 64; nothing in the code caps k itself.
+Every group of ``catalogs.GROUP_CORES`` is a set of zero-free cores that
+share one width.  Padding a core with zeros keeps it a PINN, so each group
+yields PINN classes at every larger width.  ``instantiate(family_id, k)``
+pads one group, a family, with at least one zero; ``catalog(k)`` pads every
+group whose cores fit in k digits, for k = 1..9, and labels them as the
+printed tables do.  Both go through one padding helper over cores parsed
+once.
+
+verify_family re-proves the claim instance by instance instead of trusting
+it, with ``orbits.decide_pinn``, the rule ``check`` also uses: two deciders
+that share no reasoning, the congruence criterion, O(pairs + k), and the
+residue-counting DP, whose table grows about linearly in k for these
+members (155520 entries at k = 200).  The tested range is k <= 64; nothing
+in the code caps k itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from . import catalogs
+from .catalogs import GROUP_CORES
 from .digits import DigitMultiset, parse_number
 from .orbits import (
     DEFAULT_ORBIT_BUDGET,
@@ -28,27 +33,19 @@ from .orbits import (
 __all__ = [
     "FAMILY_IDS",
     "FamilyInstance",
-    "FamilyTemplate",
     "KTooSmall",
     "catalog",
     "instantiate",
-    "template",
     "verify_family",
     "zero_augmentation_property",
 ]
 
+# One label per GROUP_CORES group, in printed order.
 FAMILY_IDS = ("ka", "kb", "kc", "kd", "ke", "kf", "kg", "kh", "ki", "kj")
 
 
 class KTooSmall(Exception):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class FamilyTemplate:
-    id: str
-    base_patterns: tuple[str, ...]  # zero-free cores, run-compressed notation
-    min_k: int  # core length + 1: every instance carries at least one zero
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,30 +55,31 @@ class FamilyInstance:
     members: tuple[DigitMultiset, ...]
 
 
-TEMPLATES: tuple[FamilyTemplate, ...] = tuple(
-    FamilyTemplate(id=fid, base_patterns=cores, min_k=length + 1)
-    for fid, cores, length in zip(
-        FAMILY_IDS, catalogs.GROUP_CORES, catalogs.GROUP_CORE_LENGTH
+@cache
+def _cores(group: int) -> tuple[DigitMultiset, ...]:
+    return tuple(
+        DigitMultiset.from_string(parse_number(core)) for core in GROUP_CORES[group]
     )
-)
 
 
-def template(family_id: str) -> FamilyTemplate:
-    for t in TEMPLATES:
-        if t.id == family_id:
-            return t
-    raise ValueError(f"unknown family {family_id!r}; expected one of {FAMILY_IDS}")
+def _core_width(group: int) -> int:
+    return _cores(group)[0].k
 
 
-def instantiate(tpl: FamilyTemplate, k: int) -> FamilyInstance:
-    if k < tpl.min_k:
-        raise KTooSmall(f"family {tpl.id} needs k >= {tpl.min_k}, got {k}")
-    core_len = tpl.min_k - 1
-    members = tuple(
-        DigitMultiset.from_string(parse_number(core)).with_zeros(k - core_len)
-        for core in tpl.base_patterns
-    )
-    return FamilyInstance(template_id=tpl.id, k=k, members=members)
+def _padded(group: int, k: int) -> tuple[DigitMultiset, ...]:
+    """The group's cores, each padded with zeros to width k."""
+    return tuple(m.with_zeros(k - m.k) for m in _cores(group))
+
+
+def instantiate(family_id: str, k: int) -> FamilyInstance:
+    """The family's cores padded to width k, which needs at least one zero."""
+    if family_id not in FAMILY_IDS:
+        raise ValueError(f"unknown family {family_id!r}; expected one of {FAMILY_IDS}")
+    group = FAMILY_IDS.index(family_id)
+    min_k = _core_width(group) + 1
+    if k < min_k:
+        raise KTooSmall(f"family {family_id} needs k >= {min_k}, got {k}")
+    return FamilyInstance(template_id=family_id, k=k, members=_padded(group, k))
 
 
 def verify_family(
@@ -99,10 +97,14 @@ def verify_family(
 
 
 def catalog(k: int) -> list[FamilyInstance]:
-    """The k-digit reference catalog (k = 1..9) as grouped instances."""
+    """The k-digit reference catalog (k = 1..9): every group whose cores fit
+    in k digits, padded to width k and labelled N{k}1, N{k}2, ..."""
+    if not 1 <= k <= 9:
+        raise ValueError(f"catalog covers k = 1..9, got {k}")
+    groups = [g for g in range(len(GROUP_CORES)) if _core_width(g) <= k]
     return [
-        FamilyInstance(template_id=gid, k=k, members=members)
-        for gid, members in catalogs.catalog_groups(k)
+        FamilyInstance(template_id=f"N{k}{i}", k=k, members=_padded(g, k))
+        for i, g in enumerate(groups, start=1)
     ]
 
 
@@ -112,13 +114,13 @@ def zero_augmentation_property(k_from: int, k_to: int) -> bool:
     if k_to < k_from:
         raise ValueError("k_to must be >= k_from")
     extra = k_to - k_from
-    for tpl in TEMPLATES:
-        if k_from < tpl.min_k:
+    for fid in FAMILY_IDS:
+        try:
+            members = instantiate(fid, k_from).members
+        except KTooSmall:
             continue
-        padded = {
-            m.with_zeros(extra) for m in instantiate(tpl, k_from).members
-        }
-        target = set(instantiate(tpl, k_to).members)
+        padded = {m.with_zeros(extra) for m in members}
+        target = set(instantiate(fid, k_to).members)
         if padded != target:
             return False
         if not all(is_pinn_criterion(m)[0] for m in padded):

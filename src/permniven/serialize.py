@@ -22,6 +22,7 @@ from .search import CensusResult, SearchReport
 __all__ = [
     "bfile_text",
     "census_to_obj",
+    "csv_text",
     "family_instances_to_obj",
     "grid_report_to_obj",
     "records_to_csv",
@@ -113,25 +114,37 @@ def report_from_json(text: str) -> SearchReport:
     )
 
 
-def records_to_csv(records: Iterable[PinnRecord]) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """A header line, then one line per row, each ended by "\\n"."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["canonical", "k", "digit_sum", "orbit_size", "compressed"])
-    for rec in records:
-        writer.writerow(
-            [
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def records_to_csv(records: Iterable[PinnRecord]) -> str:
+    return csv_text(
+        ["canonical", "k", "digit_sum", "orbit_size", "compressed"],
+        (
+            (
                 rec.canonical,
                 rec.multiset.k,
                 rec.digit_sum,
                 rec.orbit_size,
                 format_number(rec.canonical),
-            ]
-        )
-    return buf.getvalue()
+            )
+            for rec in records
+        ),
+    )
 
 
-def bfile_text(values: Sequence[int]) -> str:
-    """OEIS b-file lines: "index value", 1-based, ascending."""
+def bfile_text(values: Sequence[int] | Sequence[str]) -> str:
+    """OEIS b-file lines: "index value", 1-based, ascending.
+
+    The values are ints, or digit strings that all have the same width, so
+    that string order is numeric order; a digit string is written as given.
+    """
     return "".join(
         f"{i} {v}\n" for i, v in enumerate(sorted(values), start=1)
     )

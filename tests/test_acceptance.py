@@ -17,10 +17,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from permniven.catalogs import NN2_VALUES, catalog_class_set, catalog_groups
+from permniven.catalogs import NN2_VALUES
 from permniven.cli import run
 from permniven.digits import DigitMultiset
-from permniven.families import TEMPLATES, instantiate, verify_family
+from permniven.families import FAMILY_IDS, catalog, instantiate, verify_family
 from permniven.numtheory import factorize, probable_prime
 from permniven.orbits import (
     DEFAULT_ORBIT_BUDGET,
@@ -52,7 +52,7 @@ def test_criterion_02_three_digit_catalog_and_closure():
     report = search(SearchConfig(k=3))
     elapsed = time.perf_counter() - t0
     assert len(report.records) == 33
-    assert {r.multiset for r in report.records} == set(catalog_class_set(3))
+    assert {r.multiset for r in report.records} == {m for g in catalog(3) for m in g.members}
     assert values_permutation_closed(report_values(report))
     assert elapsed < 1.0
     _passed(2, f"33 classes, value set permutation-closed, {elapsed:.2f}s")
@@ -62,7 +62,7 @@ def test_criterion_03_stage1_k4():
     t0 = time.perf_counter()
     stage1 = search(SearchConfig(k=4, allow_zero=False))
     elapsed = time.perf_counter() - t0
-    expected = set(dict(catalog_groups(4))["N45"])
+    expected = set({g.template_id: g.members for g in catalog(4)}["N45"])
     assert len(stage1.records) == 12
     assert {r.multiset for r in stage1.records} == expected
     assert elapsed < 1.0
@@ -86,12 +86,12 @@ ZERO_FREE_K10_TO_K14 = {
 
 def test_criterion_04_catalog_reproduction_k5_to_k9():
     t0 = time.perf_counter()
-    sizes = {gid: len(members) for k in range(5, 10) for gid, members in catalog_groups(k)}
+    sizes = {g.template_id: len(g.members) for k in range(5, 10) for g in catalog(k)}
     assert sizes["N67"] == 9 and sizes["N89"] == 4 and sizes["N910"] == 9
     problems = []
     for k in range(5, 10):
         found = {r.multiset for r in search(SearchConfig(k=k)).records}
-        stored = set(catalog_class_set(k))
+        stored = {m for g in catalog(k) for m in g.members}
         omitted = {DigitMultiset.from_string(c) for c in CATALOG_OMISSIONS.get(k, ())}
         for m in sorted(stored - found, key=lambda m: m.canonical):
             problems.append(f"  k={k}: {m.canonical} is stored but not found")
@@ -183,10 +183,10 @@ def test_criterion_07_families_verify_k10_to_k16():
     members = 0
     cross_checked = 0
     for k in range(10, 17):
-        for tpl in TEMPLATES:
-            inst = instantiate(tpl, k)
+        for fid in FAMILY_IDS:
+            inst = instantiate(fid, k)
             for m, ok, _proof in verify_family(inst):
-                assert ok, f"{tpl.id} member {m.canonical} at k={k} failed"
+                assert ok, f"{fid} member {m.canonical} at k={k} failed"
                 members += 1
                 if residue_table_size(m) <= DEFAULT_ORBIT_BUDGET:
                     cross_checked += 1

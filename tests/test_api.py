@@ -18,7 +18,6 @@ EXPORTS = [
     "FactorizationTimeout",
     "FailureWitness",
     "FamilyInstance",
-    "FamilyTemplate",
     "GridEntry",
     "GridReport",
     "KTooSmall",
@@ -28,7 +27,6 @@ EXPORTS = [
     "RepdigitCheck",
     "SearchConfig",
     "SearchReport",
-    "TEMPLATES",
     "ZeroInsertionProbe",
     "bfile_text",
     "catalog",
@@ -59,7 +57,6 @@ EXPORTS = [
     "report_to_json",
     "report_values",
     "search",
-    "template",
     "value_mod",
     "verify_conjecture_grid",
     "verify_family",

@@ -274,6 +274,35 @@ def test_probe(capsys):
     assert run(["probe-zero-insertion", "18", "9", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "0_(5)"],
+        ["repdigit", "--alpha", "-1"],
+        ["repdigit", "--grid", "--max-exp", "-1"],
+        ["order", "--m", "0"],
+        ["probe-zero-insertion", "18", "0", "0"],
+        ["probe-zero-insertion", "1x", "0", "1"],
+    ],
+)
+def test_input_the_library_refuses_is_a_usage_error(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    import permniven.cli as cli
+
+    def faulty_census(max_value):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(cli, "census", faulty_census)
+    assert run(["census", "--max", "999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "an internal fault" in captured.err
+
+
 def test_usage_errors_from_argparse(capsys):
     assert run(["no-such-command"]) == 2
     assert run([]) == 2

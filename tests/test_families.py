@@ -1,17 +1,16 @@
-"""The ten zero-padded infinite families."""
+"""The ten zero-padded infinite families and the k <= 9 catalog."""
 from __future__ import annotations
 
 import pytest
 
-from permniven.digits import DigitMultiset
+from permniven.catalogs import GROUP_CORES
+from permniven.digits import DigitMultiset, parse_number
 from permniven.families import (
     FAMILY_IDS,
-    TEMPLATES,
     FamilyInstance,
     KTooSmall,
     catalog,
     instantiate,
-    template,
     verify_family,
     zero_augmentation_property,
 )
@@ -24,31 +23,65 @@ from permniven.orbits import (
 )
 
 MEMBER_COUNTS = dict(zip(FAMILY_IDS, (9, 7, 9, 8, 12, 13, 9, 7, 4, 9)))
+# core width + 1: every instance carries at least one zero
+MIN_K = dict(zip(FAMILY_IDS, (2, 3, 4, 4, 5, 6, 7, 8, 9, 10)))
+
+
+def _core_width(cores: tuple[str, ...]) -> int:
+    return len(parse_number(cores[0]))
 
 
 def test_template_lookup():
-    assert [t.id for t in TEMPLATES] == list(FAMILY_IDS)
-    assert template("kb").min_k == 3
-    assert template("kj").min_k == 10
-    with pytest.raises(ValueError):
-        template("kz")
+    assert len(FAMILY_IDS) == len(GROUP_CORES)
+    assert instantiate("kb", 3).template_id == "kb"
+    with pytest.raises(KTooSmall, match="family kb needs k >= 3, got 2"):
+        instantiate("kb", 2)
+    assert instantiate("kj", 10).template_id == "kj"
+    with pytest.raises(KTooSmall, match="family kj needs k >= 10, got 9"):
+        instantiate("kj", 9)
+    with pytest.raises(ValueError, match="unknown family 'kz'"):
+        instantiate("kz", 12)
 
 
 def test_instantiate_counts_and_padding():
-    for tpl in TEMPLATES:
-        inst = instantiate(tpl, 12)
+    for fid in FAMILY_IDS:
+        inst = instantiate(fid, 12)
+        assert inst.template_id == fid
         assert inst.k == 12
-        assert len(inst.members) == MEMBER_COUNTS[tpl.id]
+        assert len(inst.members) == MEMBER_COUNTS[fid]
         for m in inst.members:
             assert m.k == 12
-            assert m.counts[0] == 12 - (tpl.min_k - 1)  # padding only
+            assert m.counts[0] == 12 - (MIN_K[fid] - 1)  # padding only
 
 
 def test_instantiate_rejects_short_widths():
-    for tpl in TEMPLATES:
+    for fid in FAMILY_IDS:
         with pytest.raises(KTooSmall):
-            instantiate(tpl, tpl.min_k - 1)
-        instantiate(tpl, tpl.min_k)  # boundary is allowed
+            instantiate(fid, MIN_K[fid] - 1)
+        instantiate(fid, MIN_K[fid])  # boundary is allowed
+
+
+def test_families_and_catalog_are_one_table():
+    # a family at k <= 9 is the catalog group printed in the same place
+    for group, fid in enumerate(FAMILY_IDS):
+        for k in range(MIN_K[fid], 10):
+            inst = catalog(k)[group]
+            assert inst.template_id == f"N{k}{group + 1}"
+            assert instantiate(fid, k).members == inst.members, (fid, k)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_catalog_holds_the_groups_that_fit(k):
+    fitting = [cores for cores in GROUP_CORES if _core_width(cores) <= k]
+    assert [inst.members for inst in catalog(k)] == [
+        tuple(
+            DigitMultiset.from_string(parse_number(core)).with_zeros(
+                k - _core_width(cores)
+            )
+            for core in cores
+        )
+        for cores in fitting
+    ]
 
 
 @pytest.mark.parametrize("k", [10, 11, 13, 17])
@@ -56,14 +89,14 @@ def test_every_family_member_verifies(k):
     # The largest residue table at these widths has 7290 entries (k = 17),
     # so even this budget, a hundredth of the default, cross-checks every
     # member with the DP.
-    for tpl in TEMPLATES:
-        inst = instantiate(tpl, k)
+    for fid in FAMILY_IDS:
+        inst = instantiate(fid, k)
         for m, ok, _proof in verify_family(inst, budget=10**5):
-            assert ok, (tpl.id, k, m.canonical)
+            assert ok, (fid, k, m.canonical)
 
 
 def test_verify_family_cross_checks_small_orbits():
-    inst = instantiate(template("ka"), 10)
+    inst = instantiate("ka", 10)
     for m, ok, _proof in verify_family(inst):
         assert ok
         assert is_pinn_bruteforce(m)[0]
@@ -71,11 +104,11 @@ def test_verify_family_cross_checks_small_orbits():
 
 def test_residue_count_proves_every_member_k10_to_k64():
     for k in range(10, 65):
-        for tpl in TEMPLATES:
-            for m in instantiate(tpl, k).members:
+        for fid in FAMILY_IDS:
+            for m in instantiate(fid, k).members:
                 # verify_family's gate: the DP runs at the default budget
                 assert residue_table_size(m) <= DEFAULT_ORBIT_BUDGET
-                assert is_pinn_residue_count(m) == (True, None), (tpl.id, k, m.canonical)
+                assert is_pinn_residue_count(m) == (True, None), (fid, k, m.canonical)
 
 
 def test_verify_family_rejects_a_non_pinn_member():
@@ -89,7 +122,7 @@ def test_verify_family_rejects_a_non_pinn_member():
 def test_kb_witness_table():
     # each kb core, largest digit first, is its digit sum times one digit, so
     # a member at any width is that product followed by zeros
-    cores = template("kb").base_patterns
+    cores = GROUP_CORES[FAMILY_IDS.index("kb")]
     assert cores == ("12", "18", "24", "27", "36", "45", "48")
     quotients = []
     for core in cores:

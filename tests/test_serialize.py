@@ -5,7 +5,7 @@ import csv
 import io
 import json
 
-from permniven.families import catalog, instantiate, template
+from permniven.families import catalog, instantiate
 from permniven.repdigits import ConjectureConstraints, verify_conjecture_grid
 from permniven.search import SearchConfig, census, search
 from permniven.serialize import (
@@ -61,10 +61,12 @@ def test_bfile_lines():
     assert bfile_text([10, 12, 18]) == "1 10\n2 12\n3 18\n"
     assert bfile_text([]) == ""
     assert bfile_text([18, 10, 12]).splitlines()[0] == "1 10"  # sorts
+    # digit strings of one width sort as their values do
+    assert bfile_text(["18", "10", "12"]) == "1 10\n2 12\n3 18\n"
 
 
 def test_family_instances_to_obj_uses_block_notation():
-    objs = family_instances_to_obj([instantiate(template("ka"), 12)])
+    objs = family_instances_to_obj([instantiate("ka", 12)])
     assert objs[0]["template"] == "ka"
     assert objs[0]["k"] == 12
     assert objs[0]["members"][0] == "10_(11)"
