@@ -27,10 +27,11 @@ print(f"quotients by {m.digit_sum}:", [int(p) // m.digit_sum for p in orbit(m)])
 ok, proof = is_pinn_criterion(m)
 print(f"\ncriterion verdict: {ok}")
 print(f"digit pairs checked: {proof.digit_pairs_checked}")
-print(f"position gaps checked: {proof.position_gaps_checked}")
+print(f"position gaps checked: {list(proof.position_gaps_checked)}")
 
 # `permniven check` decides with the criterion and cross-checks it by
-# counting the arrangements in each residue class mod the digit sum.
+# counting the arrangements in each residue class mod the digit sum
+# (a repdigit by the closed form 10^k = 1 (mod 9k) instead).
 ok, proof, residue_counted = decide_pinn(m)
 print(f"\nshared verdict: {ok}, residue count cross-checked: {residue_counted}")
 

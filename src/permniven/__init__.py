@@ -5,10 +5,11 @@ A positive integer is a PINN when every rearrangement of its digits
 on digit multisets, so an entire permutation orbit is one object, and
 offers an exact congruence criterion and a residue-counting DP, each
 equivalent to brute-force orbit checking and combined into one verdict
-rule (``decide_pinn``), an exhaustive search by width
-with census utilities, the ten infinite families with verification, and
-a lab for repdigit divisibility conditions and the multiplicative-order
-machinery behind them.
+rule (``decide_pinn``) that cross-checks every PINN verdict at any width
+(repdigits by the closed form 10^k = 1 (mod 9k)), an exhaustive search
+by width with census utilities, the ten infinite families with
+verification, and a lab for repdigit divisibility conditions and the
+multiplicative-order machinery behind them.
 """
 from .digits import (
     DigitMultiset,
@@ -39,7 +40,6 @@ from .numtheory import (
     probable_prime,
 )
 from .orbits import (
-    DEFAULT_ORBIT_BUDGET,
     BudgetExceeded,
     CriterionProof,
     FailureWitness,
@@ -93,7 +93,6 @@ __all__ = [
     "ConjectureConstraints",
     "CriterionProof",
     "DEFAULT_GRID_BOUNDS",
-    "DEFAULT_ORBIT_BUDGET",
     "DISTINGUISHED_PRIMES",
     "DigitMultiset",
     "FAMILY_IDS",

@@ -10,8 +10,9 @@ errors and nothing else: a malformed argument, or a value the library
 refuses because of what the user typed.
 
 `check` and `families --verify` share ``orbits.decide_pinn``: the
-congruence criterion, cross-checked by the residue-counting DP when its
-table has at most `--budget` entries.
+congruence criterion, and behind every "yes" a second decider, the closed
+form 10^k = 1 (mod 9k) for a repdigit and the residue-counting DP for any
+other class.  `--budget` is still accepted and selects nothing.
 
 Numbers may be typed as plain digits or in run-compressed notation, so
 `1_(26)01` names the 28-digit number with twenty-six leading ones.
@@ -33,7 +34,7 @@ from .digits import (
 from .families import FAMILY_IDS, KTooSmall, instantiate, verify_family
 from .families import catalog as reference_catalog
 from .numtheory import FactorizationTimeout, NotCoprime, multiplicative_order
-from .orbits import DEFAULT_ORBIT_BUDGET, decide_pinn
+from .orbits import BudgetExceeded, decide_pinn
 from .repdigits import (
     DEFAULT_GRID_BOUNDS,
     ConjectureConstraints,
@@ -98,7 +99,7 @@ def _cmd_check(ns: argparse.Namespace) -> int:
         digits = parse_number(ns.number)
         m = DigitMultiset.from_string(digits)
     s = m.digit_sum
-    ok, proof, residue_counted = decide_pinn(m, ns.budget)
+    ok, proof, residue_counted = decide_pinn(m)
     pretty = digits if len(digits) <= 40 else format_number(digits)
     if ns.format == "json":
         obj: dict[str, Any] = {
@@ -124,6 +125,8 @@ def _cmd_check(ns: argparse.Namespace) -> int:
         if residue_counted:
             print(f"cross-check: the residue count puts all {m.orbit_size} "
                   f"arrangements at 0 mod {s}")
+        else:
+            print("cross-check: 10^k = 1 (mod 9k)")
     else:
         print(
             f"{pretty} is not a PINN: witness "
@@ -210,7 +213,7 @@ def _cmd_families(ns: argparse.Namespace) -> int:
     if ns.verify:
         failures = []
         for inst in instances:
-            for m, ok, _proof in verify_family(inst, ns.budget):
+            for m, ok, _proof in verify_family(inst):
                 if not ok:
                     failures.append((inst.template_id, m))
     _render_instances(ns, instances, failures)
@@ -396,9 +399,8 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
         type=int,
-        default=DEFAULT_ORBIT_BUDGET,
-        help="cap on the residue-count table that cross-checks the "
-        "congruence criterion (default 10^7)",
+        help="accepted for compatibility; selects nothing, every PINN "
+        "verdict is cross-checked",
     )
 
 
@@ -501,7 +503,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # not from user input, so not a usage error
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (FactorizationTimeout, ArithmeticError) as exc:
+    except (FactorizationTimeout, ArithmeticError, BudgetExceeded) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     finally:

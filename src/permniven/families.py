@@ -11,9 +11,9 @@ once.
 verify_family re-proves the claim instance by instance instead of trusting
 it, with ``orbits.decide_pinn``, the rule ``check`` also uses: two deciders
 that share no reasoning, the congruence criterion, O(pairs + k), and the
-residue-counting DP, whose table grows about linearly in k for these
-members (155520 entries at k = 200).  The tested range is k <= 64; nothing
-in the code caps k itself.
+residue-counting DP on the member with its zeros capped at six, whose
+table is the same at every k >= core width + 6.  Nothing in the code
+caps k.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from functools import cache
 from .catalogs import GROUP_CORES
 from .digits import DigitMultiset, parse_number
 from .orbits import (
-    DEFAULT_ORBIT_BUDGET,
     CriterionProof,
     FailureWitness,
     decide_pinn,
@@ -83,17 +82,16 @@ def instantiate(family_id: str, k: int) -> FamilyInstance:
 
 
 def verify_family(
-    instance: FamilyInstance, budget: int = DEFAULT_ORBIT_BUDGET
+    instance: FamilyInstance,
 ) -> list[tuple[DigitMultiset, bool, CriterionProof | FailureWitness]]:
-    """Re-prove every member with ``decide_pinn``: the criterion,
-    cross-checked by the residue-counting DP when its table fits within
-    budget entries.
+    """Re-prove every member with ``decide_pinn``: the criterion and a
+    second decider that shares no reasoning with it.
 
-    A member is ok only when every decider that ran says PINN.  The proof
-    is the criterion's for a PINN and otherwise a witness, a concrete
-    arrangement and its non-zero residue.
+    A member is ok only when both say PINN.  The proof is the criterion's
+    for a PINN and otherwise a witness, a concrete arrangement and its
+    non-zero residue.
     """
-    return [(m, *decide_pinn(m, budget)[:2]) for m in instance.members]
+    return [(m, *decide_pinn(m)[:2]) for m in instance.members]
 
 
 def catalog(k: int) -> list[FamilyInstance]:

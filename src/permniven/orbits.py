@@ -20,7 +20,10 @@ its own reasoning:
   never enumerates the orbit; its cost is ``residue_table_size(m)``.
 
 ``decide_pinn``, the verdict rule of ``check`` and ``families --verify``,
-runs the criterion and, when its table fits the budget, the DP.
+runs the criterion and puts a second decider behind every "yes": the
+closed form 10^k == 1 (mod 9k) for a repdigit, and otherwise the DP on the
+multiset with its zeros capped at six, whose table then does not grow
+with the width.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from math import gcd, prod
 from typing import Iterator
 
 from .digits import DigitMultiset, value_mod
+from .repdigits import repdigit_niven_check
 
 __all__ = [
     "BudgetExceeded",
@@ -47,11 +51,17 @@ __all__ = [
     "residue_table_size",
 ]
 
+# A guard, not a knob: decide_pinn's tables stay far below it unless the
+# criterion is wrong, and a verdict never comes from skipping a decider.
 DEFAULT_ORBIT_BUDGET = 10**7
+# A PINN with two distinct digits has digit sum s <= 81 (see decide_pinn),
+# so 2^6 and 5^2 bound the powers of 2 and 5 in s that zeros can meet.
+_MAX_CLASS_SUM = 81
+_ZERO_CAP = 6
 
 
 class BudgetExceeded(Exception):
-    """Orbit or residue table too large for the budget; use the criterion."""
+    """Orbit or residue table too large for the budget."""
 
 
 def _next_permutation(a: list) -> bool:
@@ -92,7 +102,7 @@ class FailureWitness:
 @dataclass(frozen=True, slots=True)
 class CriterionProof:
     digit_pairs_checked: tuple[tuple[int, int], ...]
-    position_gaps_checked: tuple[int, ...]
+    position_gaps_checked: range
     base_residue: int
 
 
@@ -141,15 +151,15 @@ def is_pinn_criterion(m: DigitMultiset) -> tuple[bool, CriterionProof]:
         modulo T = s / gcd(s, 9) (T = 1 when k = 1, which has no gaps);
     (b) the canonical arrangement is divisible by s.
 
-    The proof lists the digit pairs checked and the gaps they cover: a pair
-    that passes covers every gap 1..k-1, and a pair that fails does so
-    already at gap 1.
+    The proof lists the digit pairs checked and the gaps they cover, as a
+    range: a pair that passes covers every gap 1..k-1, and a pair that fails
+    does so already at gap 1.
     """
     k = m.k
     s = m.digit_sum
     t = class_modulus(s, k)
     present = m.present_digits
-    gaps = tuple(range(1, k)) if len(present) > 1 else ()
+    gaps = range(1, k if len(present) > 1 else 1)
     pairs = []
     for i, v in enumerate(present):
         for u in present[i + 1:]:
@@ -157,7 +167,7 @@ def is_pinn_criterion(m: DigitMultiset) -> tuple[bool, CriterionProof]:
             if (u - v) % t:
                 return False, CriterionProof(
                     digit_pairs_checked=tuple(pairs),
-                    position_gaps_checked=gaps if len(pairs) > 1 else (1,),
+                    position_gaps_checked=gaps if len(pairs) > 1 else range(1, 2),
                     base_residue=-1,
                 )
     base = value_mod(m.canonical, s)
@@ -252,26 +262,53 @@ def is_pinn_residue_count(
     return False, FailureWitness(permutation="".join(reversed(placed)), residue=residue)
 
 
-def decide_pinn(
-    m: DigitMultiset, budget: int = DEFAULT_ORBIT_BUDGET
-) -> tuple[bool, CriterionProof | FailureWitness, bool]:
-    """The criterion's verdict on m, cross-checked by the residue-counting DP
-    when its table has at most budget entries.
+def decide_pinn(m: DigitMultiset) -> tuple[bool, CriterionProof | FailureWitness, bool]:
+    """The criterion's verdict on m, with a second decider behind every "yes".
 
-    Returns (ok, proof, residue_counted): ok only when every decider that
-    ran says PINN, with the criterion's proof.  A "no" carries a witness
-    found in O(k): the canonical arrangement when its residue is the
-    defect; for a failed pair u > v, whichever of the arrangements ending
-    in vu and in uv is not divisible (they differ by 9(u - v), which the
-    digit sum does not divide); the DP's when only the DP says no.  Raises
-    ArithmeticError when both arrangements of the failed pair divide.
+    Returns (ok, proof, residue_counted): ok only when both deciders say
+    PINN, with the criterion's proof.  The second decider is
+
+    * for a repdigit a_(k), the closed form 10^k == 1 (mod 9k) of
+      ``repdigits.repdigit_niven_check``, which shares no loop with the
+      criterion's residue; no arrangement can show a disagreement, so one
+      raises ArithmeticError;
+    * for any other class, the residue-counting DP (residue_counted True)
+      on m with its zeros capped at six.  By the criterion's theorem, m is
+      a PINN iff its digits agree mod T = s / gcd(s, 9), which does not
+      involve the zeros, and s divides N * 10^z, N the canonical
+      arrangement of the nonzero digits and z the zeros.  Two distinct
+      digits that agree mod T differ by a multiple of T, so T <= 9 and
+      s <= 81, which holds at most 2^6 and 5^2: every z >= 6 gives the
+      verdict of z = 6 (the README's zero reduction).  A DP witness lifts
+      back to m with the removed zeros in front, which keep its value.  A
+      digit sum above 81 would contradict the criterion, so then nothing
+      is capped.
+
+    A "no" carries a witness found in O(k): the canonical arrangement when
+    its residue is the defect; for a failed pair u > v, whichever of the
+    arrangements ending in vu and in uv is not divisible (they differ by
+    9(u - v), which the digit sum does not divide); the lifted DP witness
+    when only the DP says no.  Raises ArithmeticError when both
+    arrangements of the failed pair divide, and BudgetExceeded when the DP's
+    table passes DEFAULT_ORBIT_BUDGET, which only a wrong criterion allows.
     """
     ok, proof = is_pinn_criterion(m)
     if ok:
-        if residue_table_size(m) > budget:
+        if m.is_repdigit:
+            if not repdigit_niven_check(m.present_digits[0], m.k).exact:
+                raise ArithmeticError(
+                    f"the criterion accepts the {m.k}-digit repdigit of "
+                    f"{m.present_digits[0]}s, but 10^k != 1 (mod 9k)"
+                )
             return True, proof, False
-        dp_ok, witness = is_pinn_residue_count(m, budget)
-        return (True, proof, True) if dp_ok else (False, witness, True)
+        zeros = m.counts[0]
+        if m.digit_sum <= _MAX_CLASS_SUM:
+            zeros = min(zeros, _ZERO_CAP)
+        dp_ok, witness = is_pinn_residue_count(DigitMultiset((zeros, *m.counts[1:])))
+        if dp_ok:
+            return True, proof, True
+        lifted = "0" * (m.counts[0] - zeros) + witness.permutation
+        return False, FailureWitness(lifted, witness.residue), True
     if proof.base_residue > 0:
         return False, FailureWitness(m.canonical, proof.base_residue), False
     u, v = proof.digit_pairs_checked[-1]

@@ -366,9 +366,12 @@ def zero_insertion_probe(base: str, position: int, zeros: int) -> ZeroInsertionP
         raise ValueError(f"position must be 0..{len(digits)}")
     if zeros < 1:
         raise ValueError("insert at least one zero")
+    modulus = digit_sum_of(digits)
+    if modulus == 0:
+        raise ValueError(f"the digit sum of {base} is 0, so no residue is defined")
     cut = len(digits) - position
     modified = digits[:cut] + "0" * zeros + digits[cut:]
-    residue = value_mod(modified, digit_sum_of(digits))
+    residue = value_mod(modified, modulus)
     return ZeroInsertionProbe(
         modified=modified, residue=residue, is_niven=residue == 0
     )

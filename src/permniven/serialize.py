@@ -58,11 +58,14 @@ def _proof_to_obj(proof: Any) -> dict[str, Any]:
 def _proof_from_obj(obj: dict[str, Any]):
     kind = obj["type"]
     if kind == "criterion":
+        gaps = obj["position_gaps_checked"]
+        if gaps != list(range(1, len(gaps) + 1)):
+            raise ValueError("position_gaps_checked must be the gaps 1..n")
         return CriterionProof(
             digit_pairs_checked=tuple(
                 tuple(p) for p in obj["digit_pairs_checked"]
             ),
-            position_gaps_checked=tuple(obj["position_gaps_checked"]),
+            position_gaps_checked=range(1, len(gaps) + 1),
             base_residue=obj["base_residue"],
         )
     if kind == "failure":

@@ -22,12 +22,7 @@ from permniven.cli import run
 from permniven.digits import DigitMultiset
 from permniven.families import FAMILY_IDS, catalog, instantiate, verify_family
 from permniven.numtheory import factorize, probable_prime
-from permniven.orbits import (
-    DEFAULT_ORBIT_BUDGET,
-    is_pinn_bruteforce,
-    is_pinn_criterion,
-    residue_table_size,
-)
+from permniven.orbits import decide_pinn, is_pinn_bruteforce, is_pinn_criterion
 from permniven.repdigits import DISTINGUISHED_PRIMES, verify_conjecture_grid, zero_insertion_probe
 from permniven.search import SearchConfig, report_values, search
 from permniven.serialize import report_to_json
@@ -188,7 +183,7 @@ def test_criterion_07_families_verify_k10_to_k16():
             for m, ok, _proof in verify_family(inst):
                 assert ok, f"{fid} member {m.canonical} at k={k} failed"
                 members += 1
-                if residue_table_size(m) <= DEFAULT_ORBIT_BUDGET:
+                if decide_pinn(m)[2]:
                     cross_checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

@@ -11,7 +11,6 @@ EXPORTS = [
     "ConjectureConstraints",
     "CriterionProof",
     "DEFAULT_GRID_BOUNDS",
-    "DEFAULT_ORBIT_BUDGET",
     "DISTINGUISHED_PRIMES",
     "DigitMultiset",
     "FAMILY_IDS",

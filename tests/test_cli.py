@@ -13,6 +13,7 @@ from permniven.catalogs import NN2_VALUES
 from permniven.cli import run
 from permniven.digits import digit_sum_of, parse_number, value_mod
 from permniven.serialize import report_from_json
+from test_orbits import says_pinn
 
 
 def test_check_pinn(capsys):
@@ -78,19 +79,38 @@ def test_check_large_pinn_orbit_by_residue_count(capsys):
     assert "residue count puts all 1627920 arrangements at 0 mod 9" in out
 
 
+def test_check_repdigit_is_cross_checked_by_the_closed_form(capsys):
+    assert run(["check", "111"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "cross-check: 10^k = 1 (mod 9k)"
+    assert run(["check", "3_(27)", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["proof"]["residue_counted"] is False
+
+
+def test_check_cross_checks_a_wide_zero_padded_pinn(capsys):
+    # the DP runs with the zeros capped at six, so its table is small at
+    # any width
+    assert run(["check", "24480_(100000)", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["is_pinn"] and obj["proof"]["residue_counted"] is True
+
+
 def test_check_reports_deciders_that_disagree(capsys, monkeypatch):
     import permniven.orbits as orbits
 
     def rejects_a_pair(m):
         return False, orbits.CriterionProof(
-            digit_pairs_checked=((4, 2),), position_gaps_checked=(1,), base_residue=-1
+            digit_pairs_checked=((4, 2),), position_gaps_checked=range(1, 2), base_residue=-1
         )
 
-    monkeypatch.setattr(orbits, "is_pinn_criterion", rejects_a_pair)
-    assert run(["check", "2448"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("verification failed: ")
+    # a pair rejection no arrangement backs up; a repdigit the closed form
+    # refuses; a DP table past the internal guard
+    for criterion, number in ((rejects_a_pair, "2448"), (says_pinn, "11"),
+                              (says_pinn, "1_(200)20_(200)")):
+        monkeypatch.setattr(orbits, "is_pinn_criterion", criterion)
+        assert run(["check", number]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failed: ")
 
 
 def test_check_rejects_garbage(capsys):
@@ -149,7 +169,12 @@ def test_budget_only_where_it_is_read(capsys):
     assert run(["search", "--k", "6", "--budget", "1"]) == 2
     assert run(["--budget", "1", "check", "2448"]) == 2
     capsys.readouterr()
-    # a budget too small for any residue table leaves the criterion alone
+    # --budget still parses after check and families, and selects nothing
+    assert run(["check", "2448"]) == 0
+    plain = capsys.readouterr().out
+    for budget in ("1", "-5"):
+        assert run(["check", "2448", "--budget", budget]) == 0
+        assert capsys.readouterr().out == plain
     assert run(["families", "--verify", "--k", "10", "--budget", "1", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
 
@@ -272,6 +297,9 @@ def test_probe(capsys):
     assert run(["probe-zero-insertion", "18", "0", "1"]) == 0
     assert "Niven" in capsys.readouterr().out
     assert run(["probe-zero-insertion", "18", "9", "1"]) == 2
+    capsys.readouterr()
+    assert run(["probe-zero-insertion", "000", "0", "1"]) == 2
+    assert "digit sum of 000 is 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

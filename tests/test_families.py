@@ -14,13 +14,7 @@ from permniven.families import (
     verify_family,
     zero_augmentation_property,
 )
-from permniven.orbits import (
-    DEFAULT_ORBIT_BUDGET,
-    FailureWitness,
-    is_pinn_bruteforce,
-    is_pinn_residue_count,
-    residue_table_size,
-)
+from permniven.orbits import FailureWitness, is_pinn_bruteforce, is_pinn_residue_count
 
 MEMBER_COUNTS = dict(zip(FAMILY_IDS, (9, 7, 9, 8, 12, 13, 9, 7, 4, 9)))
 # core width + 1: every instance carries at least one zero
@@ -84,14 +78,13 @@ def test_catalog_holds_the_groups_that_fit(k):
     ]
 
 
-@pytest.mark.parametrize("k", [10, 11, 13, 17])
+@pytest.mark.parametrize("k", [10, 11, 13, 17, 2000])
 def test_every_family_member_verifies(k):
-    # The largest residue table at these widths has 7290 entries (k = 17),
-    # so even this budget, a hundredth of the default, cross-checks every
-    # member with the DP.
+    # the DP sees each member with at most six zeros, so k = 2000 costs
+    # what k = 17 does
     for fid in FAMILY_IDS:
         inst = instantiate(fid, k)
-        for m, ok, _proof in verify_family(inst, budget=10**5):
+        for m, ok, _proof in verify_family(inst):
             assert ok, (fid, k, m.canonical)
 
 
@@ -106,17 +99,15 @@ def test_residue_count_proves_every_member_k10_to_k64():
     for k in range(10, 65):
         for fid in FAMILY_IDS:
             for m in instantiate(fid, k).members:
-                # verify_family's gate: the DP runs at the default budget
-                assert residue_table_size(m) <= DEFAULT_ORBIT_BUDGET
+                # the full multiset, without decide_pinn's zero cap
                 assert is_pinn_residue_count(m) == (True, None), (fid, k, m.canonical)
 
 
 def test_verify_family_rejects_a_non_pinn_member():
     inst = FamilyInstance(template_id="x", k=2, members=(DigitMultiset.from_string("13"),))
-    for budget in (1, DEFAULT_ORBIT_BUDGET):
-        [(_m, ok, proof)] = verify_family(inst, budget)
-        # the criterion's "no" comes with an arrangement that fails
-        assert not ok and proof == FailureWitness(permutation="13", residue=1)
+    [(_m, ok, proof)] = verify_family(inst)
+    # the criterion's "no" comes with an arrangement that fails
+    assert not ok and proof == FailureWitness(permutation="13", residue=1)
 
 
 def test_kb_witness_table():

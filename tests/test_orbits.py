@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from permniven.digits import DigitMultiset, value_mod
+from permniven.catalogs import GROUP_CORES
+from permniven.digits import DigitMultiset, parse_number, value_mod
 from permniven.orbits import (
     BudgetExceeded,
     CriterionProof,
@@ -116,10 +118,11 @@ def test_three_deciders_agree_up_to_k6():
             m = DigitMultiset.from_digits(combo)
             ok, witness = is_pinn_residue_count(m)
             assert ok == is_pinn_criterion(m)[0] == is_pinn_bruteforce(m)[0], m.canonical
-            # the shared verdict rule: the DP runs on every PINN here, and
-            # every "no" carries its O(k) witness
+            # the shared verdict rule: the DP cross-checks every PINN that
+            # is not a repdigit, and every "no" carries its O(k) witness
             verdict, proof, residue_counted = decide_pinn(m)
-            assert verdict == ok and residue_counted == ok
+            assert verdict == ok
+            assert residue_counted == (ok and not m.is_repdigit)
             if ok:
                 assert witness is None
                 assert isinstance(proof, CriterionProof)
@@ -169,10 +172,10 @@ def test_criterion_proof_failure_modes():
 @pytest.mark.parametrize(
     "digits, pairs, gaps, base",
     [
-        ("13", ((3, 1),), (1,), -1),  # the first pair fails, at gap 1
-        ("651", ((5, 1), (6, 1)), (1, 2), -1),  # a later pair fails
-        ("11", (), (), 1),  # one distinct digit: nothing to pair
-        ("2448", ((4, 2), (8, 2), (8, 4)), (1, 2, 3), 0),
+        ("13", ((3, 1),), range(1, 2), -1),  # the first pair fails, at gap 1
+        ("651", ((5, 1), (6, 1)), range(1, 3), -1),  # a later pair fails
+        ("11", (), range(1, 1), 1),  # one distinct digit: nothing to pair
+        ("2448", ((4, 2), (8, 2), (8, 4)), range(1, 4), 0),
     ],
 )
 def test_criterion_proof_shape(digits, pairs, gaps, base):
@@ -192,17 +195,17 @@ def test_budget_gate():
     with pytest.raises(BudgetExceeded):
         is_pinn_residue_count(big, budget=residue_table_size(big) - 1)
     assert is_pinn_residue_count(big, budget=residue_table_size(big))[0] is False
-    # decide_pinn runs the DP only when its table fits
-    m = DigitMultiset.from_string("2448")
-    assert decide_pinn(m, budget=residue_table_size(m) - 1)[::2] == (True, False)
-    assert decide_pinn(m, budget=residue_table_size(m))[::2] == (True, True)
+
+
+def says_pinn(m: DigitMultiset) -> tuple[bool, CriterionProof]:
+    """A criterion that accepts everything."""
+    return True, CriterionProof(
+        digit_pairs_checked=(), position_gaps_checked=range(1, 1), base_residue=0
+    )
 
 
 def test_decide_pinn_trusts_no_single_decider(monkeypatch):
     import permniven.orbits as orbits
-
-    def says_pinn(m):
-        return True, CriterionProof(digit_pairs_checked=(), position_gaps_checked=(), base_residue=0)
 
     # a criterion that wrongly accepts 13 is overruled by the DP's witness
     monkeypatch.setattr(orbits, "is_pinn_criterion", says_pinn)
@@ -211,14 +214,87 @@ def test_decide_pinn_trusts_no_single_decider(monkeypatch):
     assert not ok and residue_counted
     assert_is_witness(m, witness)
 
+    # 555552 is a PINN, but with zeros it is not (0 and 2 differ mod 3):
+    # the capped DP must keep zeros, and its witness lift to full width
+    m = DigitMultiset.from_string("5555520000000")
+    ok, witness, residue_counted = decide_pinn(m)
+    assert not ok and residue_counted
+    assert_is_witness(m, witness)
+
+    # no arrangement can overrule a repdigit, so the closed form's "no"
+    # against a criterion that wrongly accepts 11 is an internal fault
+    with pytest.raises(ArithmeticError):
+        decide_pinn(DigitMultiset.from_string("11"))
+
+    # with a digit sum above 81 nothing is capped, and the DP's table guard
+    # stops a criterion that wrongly accepts a wide class
+    with pytest.raises(BudgetExceeded):
+        decide_pinn(DigitMultiset.from_string(parse_number("1_(200)20_(200)")))
+
     def rejects_a_pair(m):
-        return False, CriterionProof(digit_pairs_checked=((4, 2),), position_gaps_checked=(1,),
-                                     base_residue=-1)
+        return False, CriterionProof(
+            digit_pairs_checked=((4, 2),), position_gaps_checked=range(1, 2), base_residue=-1
+        )
 
     # a pair rejection that no arrangement backs up is an internal fault
     monkeypatch.setattr(orbits, "is_pinn_criterion", rejects_a_pair)
     with pytest.raises(ArithmeticError):
         decide_pinn(DigitMultiset.from_string("2448"))
+
+
+def test_residue_count_ignores_zeros_past_six():
+    # the zero reduction behind decide_pinn's cap, tested on the DP alone:
+    # every core with 7..60 zeros gets the verdict of six zeros, and so do
+    # two zero-free PINNs that any zero breaks (0 and 2, 0 and 1 differ mod 3)
+    cores = [core for group in GROUP_CORES for core in group]
+    for core in cores + ["555552", "444444111"]:
+        m = DigitMultiset.from_string(parse_number(core))
+        capped = is_pinn_residue_count(m.with_zeros(6))[0]
+        assert capped == (core in cores), core
+        for z in range(7, 61):
+            assert is_pinn_residue_count(m.with_zeros(z))[0] == capped, (core, z)
+
+
+@st.composite
+def wide_multisets(draw) -> DigitMultiset:
+    """Width up to 10^4: a zero-free core, or up to three nonzero digits
+    with digit sum at most 81, padded with zeros."""
+    cores = [core for group in GROUP_CORES for core in group]
+    if draw(st.booleans()):
+        m = DigitMultiset.from_string(parse_number(draw(st.sampled_from(cores))))
+    else:
+        counts = [0] * 10
+        for d in draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True)):
+            counts[d] = draw(st.integers(1, 81 // d))
+        m = DigitMultiset(tuple(counts))
+        assume(m.digit_sum <= 81)
+    return m.with_zeros(draw(st.integers(0, 10**4 - m.k)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(wide_multisets())
+def test_decide_pinn_agrees_with_the_criterion_up_to_width_10_4(m):
+    import permniven.orbits as orbits
+
+    ok, proof, residue_counted = decide_pinn(m)
+    assert ok == is_pinn_criterion(m)[0]
+    if ok:
+        assert residue_counted == (not m.is_repdigit)
+    else:
+        assert_is_witness(m, proof)
+
+    # with a criterion that accepts everything, the second decider alone
+    # must reach the same verdict, and a DP witness found with the zeros
+    # capped must hold at full width
+    with mock.patch.object(orbits, "is_pinn_criterion", says_pinn):
+        if m.is_repdigit and not ok:
+            with pytest.raises(ArithmeticError):
+                decide_pinn(m)
+            return
+        second, witness, _ = decide_pinn(m)
+    assert second == ok
+    if not ok:
+        assert_is_witness(m, witness)
 
 
 def test_make_record_only_for_pinns():

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from permniven import repdigits
+from permniven.digits import value_mod
 from permniven.numtheory import multiplicative_order, probable_prime
 from permniven.repdigits import (
     CONJECTURE_PRIMES,
@@ -25,11 +26,12 @@ SWEEP_PREFIX = [1, 3, 9, 27, 81, 111, 243, 333, 729, 999, 2187, 2997]
 
 
 def test_exact_condition_is_divisibility_of_the_repdigit():
-    # a * R_k is Niven iff 10^k == 1 (mod 9k); a cancels out
-    for a in (1, 3, 7):
-        for k in range(1, 60):
-            repdigit = int(str(a) * k)
-            expected = repdigit % (a * k) == 0
+    # a * R_k is Niven iff 10^k == 1 (mod 9k); a cancels out.  This closed
+    # form is decide_pinn's second decider for repdigits, so it is checked
+    # here against the digit string itself.
+    for a in range(1, 10):
+        for k in range(1, 2001):
+            expected = value_mod(str(a) * k, a * k) == 0
             assert repdigit_niven_check(a, k).exact == expected, (a, k)
 
 

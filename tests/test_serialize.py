@@ -5,6 +5,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from permniven.families import catalog, instantiate
 from permniven.repdigits import ConjectureConstraints, verify_conjecture_grid
 from permniven.search import SearchConfig, census, search
@@ -26,6 +28,17 @@ def test_report_round_trip():
         back = report_from_json(text)
         assert back == report
         assert report_to_json(back) == text  # stable bytes
+
+
+def test_report_from_json_rebuilds_gap_ranges():
+    text = report_to_json(search(SearchConfig(k=4)))
+    proof = report_from_json(text).records[0].proof
+    assert proof.position_gaps_checked == range(1, 4)
+    # the gaps are always 1..n, so anything else is refused
+    obj = json.loads(text)
+    obj["records"][0]["proof"]["position_gaps_checked"] = [1, 3, 2]
+    with pytest.raises(ValueError, match="gaps 1..n"):
+        report_from_json(json.dumps(obj))
 
 
 def test_report_json_excludes_elapsed():
