@@ -28,7 +28,6 @@ from .families import (
     catalog,
     instantiate,
     verify_family,
-    zero_augmentation_property,
 )
 from .numtheory import (
     FactorizationTimeout,
@@ -141,6 +140,5 @@ __all__ = [
     "value_mod",
     "verify_conjecture_grid",
     "verify_family",
-    "zero_augmentation_property",
     "zero_insertion_probe",
 ]

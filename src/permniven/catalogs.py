@@ -13,14 +13,16 @@ criterion 4 (`CATALOG_OMISSIONS` in tests/test_acceptance.py), which fails
 on any further disagreement in either direction.
 
 Layout.  Every catalog entry is a zero-free "core" padded with zeros up to
-the requested length.  The cores are grouped exactly as the source tables
-group them: one group per core length, except length 3 which the tables
-split into repdigits and non-repdigits.  A k-digit catalog consists of the
-groups whose cores fit in k digits, each core padded with zeros to width k
-(the uniform padding makes every entry exactly k digits wide; the one
-undersized entry printed in the 4-digit source table, 900, is thereby
-completed to 9000).  Cores are written in the run-compressed notation of
-the longer tables, in the printed order.
+the requested length.  The 87 cores, padded, are also every PINN class
+with a zero at any width (README, "Classification").  The cores are
+grouped exactly as the source tables group them: one group per core
+length, except length 3 which the tables split into repdigits and
+non-repdigits.  A k-digit catalog consists of the groups whose cores fit
+in k digits, each core padded with zeros to width k (the uniform padding
+makes every entry exactly k digits wide; the one undersized entry printed
+in the 4-digit source table, 900, is thereby completed to 9000).  Cores
+are written in the run-compressed notation of the longer tables, in the
+printed order.
 
 This module holds the data only.  The padding lives in ``families``, whose
 ``catalog(k)`` and ``instantiate(family_id, k)`` are two views of

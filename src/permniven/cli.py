@@ -25,6 +25,7 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Iterator, Sequence
 
+from .catalogs import GROUP_CORES
 from .digits import (
     DigitMultiset,
     digit_sum_of,
@@ -208,7 +209,12 @@ def _render_instances(ns: argparse.Namespace, instances, verify_failures=None) -
 
 
 def _cmd_families(ns: argparse.Namespace) -> int:
-    instances = [instantiate(fid, ns.k) for fid in FAMILY_IDS]
+    try:
+        instances = [instantiate(fid, ns.k) for fid in FAMILY_IDS]
+    except KTooSmall:
+        # name the width all ten need, not the first family that does not fit
+        widest = max(len(parse_number(group[0])) for group in GROUP_CORES)
+        raise UsageError(f"the ten families need k >= {widest + 1}, got {ns.k}") from None
     failures = None
     if ns.verify:
         failures = []
@@ -334,11 +340,7 @@ def _cmd_census(ns: argparse.Namespace) -> int:
     _require_format(ns.format, "text", "json", "csv")
     if not 1 <= ns.max <= CENSUS_MAX:
         raise UsageError(f"--max must be in 1..{CENSUS_MAX}")
-    try:
-        result = census(ns.max)
-    except AssertionError as exc:
-        print(f"census invariant violated: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+    result = census(ns.max)
     if ns.format == "json":
         sys.stdout.write(to_json_text(census_to_obj(result, ns.max)))
     elif ns.format == "csv":

@@ -2,11 +2,12 @@
 
 Every group of ``catalogs.GROUP_CORES`` is a set of zero-free cores that
 share one width.  Padding a core with zeros keeps it a PINN, so each group
-yields PINN classes at every larger width.  ``instantiate(family_id, k)``
-pads one group, a family, with at least one zero; ``catalog(k)`` pads every
-group whose cores fit in k digits, for k = 1..9, and labels them as the
-printed tables do.  Both go through one padding helper over cores parsed
-once.
+yields PINN classes at every larger width, and the 87 cores, padded, are
+every PINN class with a zero at any width (README, "Classification").
+``instantiate(family_id, k)`` pads one group, a family, with at least one
+zero; ``catalog(k)`` pads every group whose cores fit in k digits, for
+k = 1..9, and labels them as the printed tables do.  Both go through one
+padding helper over cores parsed once.
 
 verify_family re-proves the claim instance by instance instead of trusting
 it, with ``orbits.decide_pinn``, the rule ``check`` also uses: two deciders
@@ -26,7 +27,6 @@ from .orbits import (
     CriterionProof,
     FailureWitness,
     decide_pinn,
-    is_pinn_criterion,
 )
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "catalog",
     "instantiate",
     "verify_family",
-    "zero_augmentation_property",
 ]
 
 # One label per GROUP_CORES group, in printed order.
@@ -105,22 +104,3 @@ def catalog(k: int) -> list[FamilyInstance]:
         for i, g in enumerate(groups, start=1)
     ]
 
-
-def zero_augmentation_property(k_from: int, k_to: int) -> bool:
-    """Do family members at k_from, padded to k_to, land in the k_to family
-    and re-verify as PINNs?"""
-    if k_to < k_from:
-        raise ValueError("k_to must be >= k_from")
-    extra = k_to - k_from
-    for fid in FAMILY_IDS:
-        try:
-            members = instantiate(fid, k_from).members
-        except KTooSmall:
-            continue
-        padded = {m.with_zeros(extra) for m in members}
-        target = set(instantiate(fid, k_to).members)
-        if padded != target:
-            return False
-        if not all(is_pinn_criterion(m)[0] for m in padded):
-            return False
-    return True

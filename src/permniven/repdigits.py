@@ -58,17 +58,12 @@ CONJECTURE_PRIMES: dict[str, int] = {
     "delta5": 130654897808007778425046117,
 }
 
-# Minimum n required before each parameter may be nonzero.
+# Minimum n required before each parameter may be nonzero: p | k needs
+# ord_p(10) = 3^j to divide k = 3^n * ..., that is n >= j = log_3 ord_p(10).
 _LADDER: dict[str, int] = {
-    "alpha": 1,
-    "beta": 2,
-    "gamma1": 3,
-    "gamma2": 3,
-    "delta1": 4,
-    "delta2": 4,
-    "delta3": 4,
-    "delta4": 4,
-    "delta5": 4,
+    name: next(j for j in range(6) if pow(10, 3**j, p) == 1)
+    for name, p in CONJECTURE_PRIMES.items()
+    if name != "n"
 }
 
 # ConjectureConstraints.k refuses widths of more bits: the two checks of

@@ -59,7 +59,6 @@ EXPORTS = [
     "value_mod",
     "verify_conjecture_grid",
     "verify_family",
-    "zero_augmentation_property",
     "zero_insertion_probe",
 ]
 

@@ -180,8 +180,10 @@ def test_budget_only_where_it_is_read(capsys):
 
 
 def test_families_below_minimum_width(capsys):
-    assert run(["families", "--k", "9"]) == 2
-    assert "k >= 10" in capsys.readouterr().err
+    # every family needs one zero, so the widest cores (9 digits) set the bound
+    for k in (5, 9):
+        assert run(["families", "--k", str(k)]) == 2
+        assert capsys.readouterr().err == f"error: the ten families need k >= 10, got {k}\n"
 
 
 def test_catalog_bounds_and_output(capsys):

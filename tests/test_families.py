@@ -12,7 +12,6 @@ from permniven.families import (
     catalog,
     instantiate,
     verify_family,
-    zero_augmentation_property,
 )
 from permniven.orbits import FailureWitness, is_pinn_bruteforce, is_pinn_residue_count
 
@@ -122,14 +121,6 @@ def test_kb_witness_table():
         assert r == 0, core
         quotients.append(q)
     assert quotients == [7, 9, 7, 8, 7, 6, 7]
-
-
-def test_zero_augmentation_property_between_widths():
-    assert zero_augmentation_property(10, 11)
-    assert zero_augmentation_property(10, 14)
-    assert zero_augmentation_property(12, 12)
-    with pytest.raises(ValueError):
-        zero_augmentation_property(12, 10)
 
 
 @pytest.mark.parametrize("k", [1, 5, 9])

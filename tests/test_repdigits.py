@@ -113,6 +113,9 @@ def test_conjecture_primes_are_prime_with_3_power_orders():
         order = multiplicative_order(10, p)
         # the whole parameterization works because each order is a 3-power
         assert order in (1, 3, 9, 27, 81, 243), (name, order)
+    # 3 is the only base-10 Wieferich prime among them, so the others have
+    # ord_{p^e}(10) = ord_p(10) * p^(e-1), which the grid's expected relies on
+    assert [p for p in CONJECTURE_PRIMES.values() if pow(10, p - 1, p * p) == 1] == [3]
 
 
 def test_grid_default_bounds_pass():

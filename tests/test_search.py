@@ -11,9 +11,9 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from permniven.catalogs import NN2_VALUES
-from permniven.digits import DigitMultiset, multiset_count
-from permniven.orbits import is_pinn_bruteforce, make_record, orbit
+from permniven.catalogs import GROUP_CORES, NN2_VALUES
+from permniven.digits import DigitMultiset, multiset_count, parse_number
+from permniven.orbits import decide_pinn, is_pinn_bruteforce, make_record, orbit
 from permniven.search import (
     CENSUS_MAX,
     SearchConfig,
@@ -23,6 +23,7 @@ from permniven.search import (
     report_values,
     search,
 )
+from test_acceptance import ZERO_FREE_EXTRAS
 
 # Fresh-search class counts per width.  The k=6 and k=9 values exceed the
 # stored catalog tables by 6 and 7 classes respectively.
@@ -230,6 +231,51 @@ def test_zero_padding_between_widths():
             assert {m.digit_sum for m in stranded} <= {27, 54}
         else:
             assert not stranded, (k, sorted(m.canonical for m in stranded))
+
+
+def _classes(texts) -> list[DigitMultiset]:
+    return [DigitMultiset.from_string(parse_number(t)) for t in texts]
+
+
+def test_classification_theorem():
+    # The certificate of the README's "Classification": at every width k the
+    # PINN classes are the zero-free non-repdigit classes of width k, the 87
+    # cores narrower than k padded with zeros, and the repdigits a_(k) when
+    # 10^k = 1 (mod 9k).
+    cores = _classes(c for group in GROUP_CORES for c in group)
+    extras = _classes(c for group in ZERO_FREE_EXTRAS.values() for c in group)
+    assert len(set(cores)) == 87 and len(set(extras)) == len(extras) == 31
+
+    # 1. A zero-free class wider than 81 has a digit sum above 81 and so is
+    # a repdigit.  Up to width 81 the scan finds 91 others: the 60 cores
+    # that are not repdigits and the 31 extras.
+    zero_free = {}
+    for k in range(1, 82):
+        cfg = SearchConfig(k=k, allow_zero=False, exclude_repdigits=True)
+        zero_free[k] = {r.multiset for r in search(cfg).records}
+    found = set().union(*zero_free.values())
+    assert len(found) == 91
+    assert found == {m for m in cores if not m.is_repdigit} | set(extras)
+
+    # 2. The padding law: every core stays a PINN with 1..6 zeros added, and
+    # by the zero reduction six zeros decide any larger number of them.
+    for m in cores:
+        for z in range(1, 7):
+            assert decide_pinn(m.with_zeros(z))[0], (m.canonical, z)
+
+    # 3. The search equals the prediction at every width up to 300, well past
+    # the 81 + 6 that the proof needs.
+    for k in range(1, 301):
+        want = zero_free.get(k, set()) | {m.with_zeros(k - m.k) for m in cores if m.k < k}
+        if pow(10, k, 9 * k) == 1:
+            want |= set(_classes(f"{a}_({k})" for a in range(1, 10)))
+        records = search(SearchConfig(k=k)).records
+        assert [r.multiset for r in records] == sorted(want, key=lambda m: m.canonical), k
+        for r in records:
+            # the digit-sum law for more than one nonzero digit
+            m = r.multiset
+            if m.k - m.counts[0] > 1 and not m.is_repdigit:
+                assert r.digit_sum % 3 == 0 and r.digit_sum <= 81, r.canonical
 
 
 PER_K_VALUE_COUNTS = [9, 23, 82, 298, 968, 3008, 6980, 16036, 35794]
