@@ -28,7 +28,10 @@ from typing import Any, Iterator, Sequence
 from .catalogs import GROUP_CORES
 from .digits import (
     DigitMultiset,
+    _format_runs,
+    _parse_runs,
     digit_sum_of,
+    expand,
     format_number,
     parse_number,
 )
@@ -96,12 +99,17 @@ def _user_input() -> Iterator[None]:
 
 def _cmd_check(ns: argparse.Namespace) -> int:
     _require_format(ns.format, "text", "json")
+    # the multiset and the printed form come from the runs: a PINN verdict
+    # in text never expands the digits
     with _user_input():
-        digits = parse_number(ns.number)
-        m = DigitMultiset.from_string(digits)
+        runs = _parse_runs(ns.number)
+        counts = [0] * 10
+        for d, n in runs:
+            counts[d] += n
+        m = DigitMultiset(tuple(counts))
     s = m.digit_sum
     ok, proof, residue_counted = decide_pinn(m)
-    pretty = digits if len(digits) <= 40 else format_number(digits)
+    pretty = expand(runs) if m.k <= 40 else _format_runs(runs)
     if ns.format == "json":
         obj: dict[str, Any] = {
             "input": ns.number,

@@ -140,7 +140,7 @@ def class_modulus(s: int, k: int) -> int:
 
 
 def is_pinn_criterion(m: DigitMultiset) -> tuple[bool, CriterionProof]:
-    """Exact congruence test, no enumeration, O(pairs + k).
+    """Exact congruence test, no enumeration, O(pairs + 10 log k).
 
     (a) every transposition keeps the residue mod s: swapping digits u > v
         at positions i and i + d changes the value by
@@ -149,7 +149,8 @@ def is_pinn_criterion(m: DigitMultiset) -> tuple[bool, CriterionProof]:
         u == v (mod s / gcd(s, 10^d - 1)) for every d < k.  Since 9 divides
         every 10^d - 1, gap 1 binds: all present digits are congruent
         modulo T = s / gcd(s, 9) (T = 1 when k = 1, which has no gaps);
-    (b) the canonical arrangement is divisible by s.
+    (b) the canonical arrangement is divisible by s, which
+        ``DigitMultiset.canonical_mod`` decides from its runs.
 
     The proof lists the digit pairs checked and the gaps they cover, as a
     range: a pair that passes covers every gap 1..k-1, and a pair that fails
@@ -170,7 +171,7 @@ def is_pinn_criterion(m: DigitMultiset) -> tuple[bool, CriterionProof]:
                     position_gaps_checked=gaps if len(pairs) > 1 else range(1, 2),
                     base_residue=-1,
                 )
-    base = value_mod(m.canonical, s)
+    base = m.canonical_mod(s)
     return base == 0, CriterionProof(
         digit_pairs_checked=tuple(pairs),
         position_gaps_checked=gaps,
@@ -284,10 +285,12 @@ def decide_pinn(m: DigitMultiset) -> tuple[bool, CriterionProof | FailureWitness
       digit sum above 81 would contradict the criterion, so then nothing
       is capped.
 
-    A "no" carries a witness found in O(k): the canonical arrangement when
-    its residue is the defect; for a failed pair u > v, whichever of the
-    arrangements ending in vu and in uv is not divisible (they differ by
-    9(u - v), which the digit sum does not divide); the lifted DP witness
+    A "no" carries a witness, found from the runs in O(10 log k) and only
+    then written out: the canonical arrangement when its residue is the
+    defect; for a failed pair u > v, the rest of the digits descending and
+    then vu or uv, whichever is not divisible (they differ by 9(u - v),
+    which the digit sum does not divide; each has the residue
+    rest * 100 + 10a + b for its last digits a, b); the lifted DP witness
     when only the DP says no.  Raises ArithmeticError when both
     arrangements of the failed pair divide, and BudgetExceeded when the DP's
     table passes DEFAULT_ORBIT_BUDGET, which only a wrong criterion allows.
@@ -311,12 +314,17 @@ def decide_pinn(m: DigitMultiset) -> tuple[bool, CriterionProof | FailureWitness
         return False, FailureWitness(lifted, witness.residue), True
     if proof.base_residue > 0:
         return False, FailureWitness(m.canonical, proof.base_residue), False
+    s = m.digit_sum
     u, v = proof.digit_pairs_checked[-1]
-    rest = m.canonical.replace(str(u), "", 1).replace(str(v), "", 1)
-    for perm in (f"{rest}{v}{u}", f"{rest}{u}{v}"):
-        r = value_mod(perm, m.digit_sum)
+    counts = list(m.counts)
+    counts[u] -= 1
+    counts[v] -= 1
+    rest = DigitMultiset(tuple(counts)).canonical_mod(s) if any(counts[1:]) else 0
+    for a, b in ((v, u), (u, v)):
+        r = (rest * 100 + 10 * a + b) % s
         if r:
-            return False, FailureWitness(perm, r), False
+            digits = "".join(str(d) * counts[d] for d in range(9, -1, -1))
+            return False, FailureWitness(f"{digits}{a}{b}", r), False
     raise ArithmeticError(f"the criterion rejects digits {u} and {v} of {m}, "
                           "but both arrangements ending in them divide")
 

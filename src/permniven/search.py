@@ -14,8 +14,10 @@ just the multisets drawn from one residue class mod T that add up to s,
 bounding each digit's count by what the remaining digits can still sum to,
 and hands them to ``make_record``, whose criterion keeps those with a
 canonical residue of zero.  Above s = 81, T exceeds 9, every residue class
-is a single digit, and only repdigits remain.  The space covered is still
-every multiset, and ``multisets_scanned`` reports its size.
+is a single digit, and only the repdigit sums a * k can hold a class, so
+the scan visits the sums up to min(9k, 81) and those, at most 90 in all at
+any width.  The space covered is still every multiset, and
+``multisets_scanned`` reports its size.
 
 A report's ``stage1_count`` counts its zero-free classes and
 ``stage2_count`` its classes with a zero; the names are kept for the JSON
@@ -23,14 +25,13 @@ schema.
 """
 from __future__ import annotations
 
-import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .digits import DigitMultiset, multiset_count
-from .orbits import PinnRecord, class_modulus, make_record, orbit
+from .orbits import _MAX_CLASS_SUM, PinnRecord, class_modulus, make_record, orbit
 
 __all__ = [
     "CENSUS_MAX",
@@ -104,7 +105,10 @@ def search(cfg: SearchConfig) -> SearchReport:
     k = cfg.k
     first = 0 if cfg.allow_zero else 1
     records = []
-    for s in range(1 if cfg.allow_zero else k, 9 * k + 1):
+    # above 81 only a repdigit can be a class, and its sum is a * k
+    top = min(9 * k, _MAX_CLASS_SUM)
+    repdigit_sums = [a * k for a in range(1, 10) if a * k > top]
+    for s in [*range(1 if cfg.allow_zero else k, top + 1), *repdigit_sums]:
         t = class_modulus(s, k)
         if t > 9:  # every residue class is a single digit
             classes = [(s // k,)] if s % k == 0 else []
@@ -134,11 +138,14 @@ def search(cfg: SearchConfig) -> SearchReport:
 
 def report_values(report: SearchReport) -> list[int]:
     """All k-digit values covered by the report's classes, ascending."""
-    # each orbit is ascending at one width, so the classes' values only merge
-    return list(heapq.merge(*(
-        [int(perm) for perm in orbit(rec.multiset) if perm[0] != "0"]
+    values = [
+        int(perm)
         for rec in report.records
-    )))
+        for perm in orbit(rec.multiset)
+        if perm[0] != "0"
+    ]
+    values.sort()
+    return values
 
 
 class CensusResult(NamedTuple):

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -92,6 +93,25 @@ def test_check_cross_checks_a_wide_zero_padded_pinn(capsys):
     assert run(["check", "24480_(100000)", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["is_pinn"] and obj["proof"]["residue_counted"] is True
+
+
+def test_check_never_expands_a_pinn(capsys):
+    # 10^8 zeros: the verdict, its proof and the printed form all come from
+    # the runs, so no string of the number's width is built
+    tracemalloc.start()
+    try:
+        assert run(["check", "24480_(100000000)"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
+    k = 10**8 + 4
+    assert capsys.readouterr().out.splitlines() == [
+        f"24480_(100000000) is a PINN: k {k}, digit sum 18, orbit {math.perm(k, 4) // 2}",
+        "proof: congruence criterion over 6 digit pairs and 100000003 position gaps",
+        f"cross-check: the residue count puts all {math.perm(k, 4) // 2} "
+        "arrangements at 0 mod 18",
+    ]
 
 
 def test_check_reports_deciders_that_disagree(capsys, monkeypatch):

@@ -6,9 +6,12 @@ from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from permniven.digits import (
     DigitMultiset,
+    _parse_runs,
     compress,
     digit_sum_of,
     expand,
@@ -37,6 +40,8 @@ def test_digit_sum_and_value_mod_agree_with_int():
 def test_value_mod_requires_positive_modulus():
     with pytest.raises(ValueError):
         value_mod("12", 0)
+    with pytest.raises(ValueError):
+        DigitMultiset.from_string("12").canonical_mod(0)
 
 
 def test_expand_compress_round_trip():
@@ -48,6 +53,52 @@ def test_expand_compress_round_trip():
     for s in ("1000", "999911", "10101"):
         blocks = compress(s)
         assert all(a[0] != b[0] for a, b in zip(blocks, blocks[1:]))
+
+
+def reference_compress(s: str) -> tuple[tuple[int, int], ...]:
+    """The per-character loop that ``compress`` replaced."""
+    blocks: list[tuple[int, int]] = []
+    for ch in s:
+        d = int(ch)
+        if blocks and blocks[-1][0] == d:
+            blocks[-1] = (d, blocks[-1][1] + 1)
+        else:
+            blocks.append((d, 1))
+    return tuple(blocks)
+
+
+def reference_format(s: str) -> str:
+    parts = []
+    for d, n in reference_compress(s):
+        parts.append(f"{d}_({n})" if n >= 3 else str(d) * n)
+    return "".join(parts)
+
+
+def test_compress_and_format_match_the_per_character_loop():
+    rng = random.Random(19)
+    for _ in range(300):
+        alphabet = rng.choice(["0123456789", "01", "7", "90"])
+        s = "".join(rng.choice(alphabet) * rng.randint(1, 5) for _ in range(rng.randint(1, 30)))
+        assert compress(s) == reference_compress(s), s
+        assert format_number(s) == reference_format(s), s
+        # the rep-block parser gives the same runs without expanding them
+        assert _parse_runs(format_number(s)) == compress(s), s
+    run = "7" * 10**6
+    assert compress(run) == reference_compress(run) == ((7, 10**6),)
+    assert format_number(run) == reference_format(run) == "7_(1000000)"
+    # blocks of one digit written apart are one run
+    assert _parse_runs("1_(3)110_(2)") == ((1, 5), (0, 2))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    counts=st.lists(st.integers(0, 10**4), min_size=10, max_size=10),
+    modulus=st.integers(1, 10**6),
+)
+def test_canonical_mod_by_runs_equals_horner(counts, modulus):
+    assume(any(counts[1:]))
+    m = DigitMultiset(tuple(counts))
+    assert m.canonical_mod(modulus) == value_mod(m.canonical, modulus)
 
 
 def test_expand_validates_blocks():
