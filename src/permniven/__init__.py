@@ -48,7 +48,6 @@ from .orbits import (
     is_pinn_bruteforce,
     is_pinn_criterion,
     is_pinn_residue_count,
-    make_record,
     orbit,
 )
 from .repdigits import (
@@ -124,7 +123,6 @@ __all__ = [
     "is_pinn_criterion",
     "is_pinn_residue_count",
     "jacobi",
-    "make_record",
     "modpow10",
     "multiplicative_order",
     "multiset_count",

@@ -164,11 +164,8 @@ def _cmd_search(ns: argparse.Namespace) -> int:
             f"k={report.k}: {len(report.records)} canonical multisets, "
             f"{n_values} values"
         )
-        for rec in report.records:
-            print(
-                f"  {format_number(rec.canonical)}"
-                f"  digit_sum={rec.digit_sum} orbit={rec.orbit_size}"
-            )
+        for m in (rec.multiset for rec in report.records):
+            print(f"  {_format_runs(m.runs)}  digit_sum={m.digit_sum} orbit={m.orbit_size}")
         print(
             f"scanned {report.multisets_scanned} multisets "
             f"(stage 1: {report.stage1_count}, stage 2: {report.stage2_count})"

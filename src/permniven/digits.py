@@ -29,7 +29,7 @@ __all__ = [
     "value_mod",
 ]
 
-_BLOCK_RE = re.compile(r"(\d)(?:_\((\d+)\))?")
+_BLOCK_RE = re.compile(r"(\d)(?:_\((\d+)\))?", re.ASCII)
 
 
 def _check_digit_string(s: str) -> None:
@@ -142,13 +142,6 @@ class DigitMultiset:
             raise ValueError("all-zero multiset rejected")
 
     @classmethod
-    def from_digits(cls, digits) -> DigitMultiset:
-        counts = [0] * 10
-        for d in digits:
-            counts[int(d)] += 1
-        return cls(tuple(counts))
-
-    @classmethod
     def from_string(cls, s: str) -> DigitMultiset:
         _check_digit_string(s)
         return cls(tuple(s.count(d) for d in "0123456789"))
@@ -160,6 +153,11 @@ class DigitMultiset:
     @property
     def digit_sum(self) -> int:
         return sum(d * c for d, c in enumerate(self.counts))
+
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """The canonical arrangement's (digit, count) runs, digits descending."""
+        return tuple((d, c) for d in range(9, -1, -1) if (c := self.counts[d]))
 
     @property
     def canonical(self) -> str:

@@ -46,7 +46,6 @@ __all__ = [
     "is_pinn_bruteforce",
     "is_pinn_criterion",
     "is_pinn_residue_count",
-    "make_record",
     "orbit",
     "residue_table_size",
 ]
@@ -109,9 +108,6 @@ class CriterionProof:
 @dataclass(frozen=True, slots=True)
 class PinnRecord:
     multiset: DigitMultiset
-    canonical: str
-    digit_sum: int
-    orbit_size: int
     proof: CriterionProof
 
 
@@ -327,18 +323,3 @@ def decide_pinn(m: DigitMultiset) -> tuple[bool, CriterionProof | FailureWitness
             return False, FailureWitness(f"{digits}{a}{b}", r), False
     raise ArithmeticError(f"the criterion rejects digits {u} and {v} of {m}, "
                           "but both arrangements ending in them divide")
-
-
-def make_record(m: DigitMultiset) -> PinnRecord | None:
-    """A criterion-proved record for m, or None when m is not a PINN class."""
-    ok, proof = is_pinn_criterion(m)
-    if not ok:
-        return None
-    return PinnRecord(
-        multiset=m,
-        canonical=m.canonical,
-        digit_sum=m.digit_sum,
-        orbit_size=m.orbit_size,
-        proof=proof,
-    )
-

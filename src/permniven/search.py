@@ -12,16 +12,17 @@ modulo T = ``class_modulus(s, k)`` = s / gcd(s, 9) and its canonical
 arrangement is divisible by s.  So for each digit sum the scan enumerates
 just the multisets drawn from one residue class mod T that add up to s,
 bounding each digit's count by what the remaining digits can still sum to,
-and hands them to ``make_record``, whose criterion keeps those with a
-canonical residue of zero.  Above s = 81, T exceeds 9, every residue class
+and keeps those the criterion accepts, each as a ``PinnRecord`` of the
+multiset and its proof.  Above s = 81, T exceeds 9, every residue class
 is a single digit, and only the repdigit sums a * k can hold a class, so
 the scan visits the sums up to min(9k, 81) and those, at most 90 in all at
 any width.  The space covered is still every multiset, and
-``multisets_scanned`` reports its size.
+``multisets_scanned`` reports its size.  Nothing in a report grows with k:
+canonical strings are built only by the writers that print them.
 
 A report's ``stage1_count`` counts its zero-free classes and
-``stage2_count`` its classes with a zero; the names are kept for the JSON
-schema.
+``stage2_count`` its classes with a zero, both read from the records; the
+names are kept for the JSON schema.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .digits import DigitMultiset, multiset_count
-from .orbits import _MAX_CLASS_SUM, PinnRecord, class_modulus, make_record, orbit
+from .orbits import _MAX_CLASS_SUM, PinnRecord, class_modulus, is_pinn_criterion, orbit
 
 __all__ = [
     "CENSUS_MAX",
@@ -61,10 +62,16 @@ class SearchConfig:
 class SearchReport:
     k: int
     records: tuple[PinnRecord, ...]
-    stage1_count: int
-    stage2_count: int
     multisets_scanned: int
     elapsed: float = field(compare=False, default=0.0)
+
+    @property
+    def stage1_count(self) -> int:
+        return sum(1 for r in self.records if not r.multiset.counts[0])
+
+    @property
+    def stage2_count(self) -> int:
+        return len(self.records) - self.stage1_count
 
 
 # --- scan kernel ----------------------------------------------------------------
@@ -119,16 +126,15 @@ def search(cfg: SearchConfig) -> SearchReport:
                 if cfg.exclude_repdigits and counts.count(0) == 9:
                     continue
                 # the criterion keeps a candidate when s divides its canonical value
-                rec = make_record(DigitMultiset(counts))
-                if rec is not None:
-                    records.append(rec)
-    records.sort(key=lambda r: r.canonical)
-    zero_free = sum(1 for r in records if not r.multiset.counts[0])
+                m = DigitMultiset(counts)
+                ok, proof = is_pinn_criterion(m)
+                if ok:
+                    records.append(PinnRecord(m, proof))
+    # at one width, descending digit counts order the canonical strings
+    records.sort(key=lambda r: r.multiset.counts[::-1])
     return SearchReport(
         k=k,
         records=tuple(records),
-        stage1_count=zero_free,
-        stage2_count=len(records) - zero_free,
         multisets_scanned=multiset_count(k, allow_zero=cfg.allow_zero),
         elapsed=time.monotonic() - t0,
     )
@@ -254,7 +260,7 @@ def census(max_value: int) -> CensusResult:
             m = rec.multiset
             n_values = m.value_count if k < top_k else _arrangements_upto(m, top)
             pinn_count += n_values
-            histogram[rec.digit_sum] += n_values
+            histogram[m.digit_sum] += n_values
     return CensusResult(
         pinn_count=pinn_count,
         niven_count=_niven_count(max_value),

@@ -2,8 +2,9 @@
 
 Search reports serialize without the elapsed field; every other field is
 a pure function of the inputs, so two runs of the same query produce
-byte-identical output.  parse(serialize(r))
-reconstructs a report equal to r (report equality ignores elapsed).
+byte-identical output.  parse(serialize(r)) reconstructs a report equal to
+r (report equality ignores elapsed): the reader re-proves each class from
+its digit counts and refuses any field that does not match.
 """
 from __future__ import annotations
 
@@ -13,9 +14,9 @@ import json
 from dataclasses import fields
 from typing import Any, Iterable, Sequence
 
-from .digits import DigitMultiset, format_number
+from .digits import DigitMultiset, _format_runs, format_number
 from .families import FamilyInstance
-from .orbits import CriterionProof, FailureWitness, PinnRecord
+from .orbits import CriterionProof, FailureWitness, PinnRecord, is_pinn_criterion
 from .repdigits import ConjectureConstraints, GridReport
 from .search import CensusResult, SearchReport
 
@@ -55,66 +56,54 @@ def _proof_to_obj(proof: Any) -> dict[str, Any]:
     raise TypeError(f"unknown proof {proof!r}")
 
 
-def _proof_from_obj(obj: dict[str, Any]):
-    kind = obj["type"]
-    if kind == "criterion":
-        gaps = obj["position_gaps_checked"]
-        if gaps != list(range(1, len(gaps) + 1)):
-            raise ValueError("position_gaps_checked must be the gaps 1..n")
-        return CriterionProof(
-            digit_pairs_checked=tuple(
-                tuple(p) for p in obj["digit_pairs_checked"]
-            ),
-            position_gaps_checked=range(1, len(gaps) + 1),
-            base_residue=obj["base_residue"],
-        )
-    if kind == "failure":
-        return FailureWitness(permutation=obj["permutation"], residue=obj["residue"])
-    raise ValueError(f"unknown proof type {kind!r}")
-
-
 def _record_to_obj(rec: PinnRecord) -> dict[str, Any]:
+    m = rec.multiset
     return {
-        "counts": list(rec.multiset.counts),
-        "canonical": rec.canonical,
-        "digit_sum": rec.digit_sum,
-        "orbit_size": rec.orbit_size,
+        "counts": list(m.counts),
+        "canonical": m.canonical,
+        "digit_sum": m.digit_sum,
+        "orbit_size": m.orbit_size,
         "proof": _proof_to_obj(rec.proof),
     }
 
 
-def _record_from_obj(obj: dict[str, Any]) -> PinnRecord:
-    return PinnRecord(
-        multiset=DigitMultiset(tuple(obj["counts"])),
-        canonical=obj["canonical"],
-        digit_sum=obj["digit_sum"],
-        orbit_size=obj["orbit_size"],
-        proof=_proof_from_obj(obj["proof"]),
-    )
-
-
 # --- search reports ----------------------------------------------------------------
 
-def report_to_json(report: SearchReport) -> str:
-    obj = {
+def _report_to_obj(report: SearchReport) -> dict[str, Any]:
+    return {
         "k": report.k,
         "stage1_count": report.stage1_count,
         "stage2_count": report.stage2_count,
         "multisets_scanned": report.multisets_scanned,
         "records": [_record_to_obj(r) for r in report.records],
     }
-    return to_json_text(obj)
+
+
+def report_to_json(report: SearchReport) -> str:
+    return to_json_text(_report_to_obj(report))
 
 
 def report_from_json(text: str) -> SearchReport:
+    """The report that text serializes, rebuilt from each record's counts
+    and re-proved by the criterion.  Raises ValueError for a class of
+    another width or one the criterion rejects, and for any other field
+    that differs from what the rebuilt report would write."""
     obj = json.loads(text)
-    return SearchReport(
+    records = []
+    for r in obj["records"]:
+        m = DigitMultiset(tuple(r["counts"]))
+        ok, proof = is_pinn_criterion(m)
+        if not ok or m.k != obj["k"]:
+            raise ValueError(f"{m} is not a PINN class of width {obj['k']}")
+        records.append(PinnRecord(m, proof))
+    report = SearchReport(
         k=obj["k"],
-        records=tuple(_record_from_obj(r) for r in obj["records"]),
-        stage1_count=obj["stage1_count"],
-        stage2_count=obj["stage2_count"],
+        records=tuple(records),
         multisets_scanned=obj["multisets_scanned"],
     )
+    if _report_to_obj(report) != obj:
+        raise ValueError("report fields do not match its classes")
+    return report
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
@@ -130,14 +119,8 @@ def records_to_csv(records: Iterable[PinnRecord]) -> str:
     return csv_text(
         ["canonical", "k", "digit_sum", "orbit_size", "compressed"],
         (
-            (
-                rec.canonical,
-                rec.multiset.k,
-                rec.digit_sum,
-                rec.orbit_size,
-                format_number(rec.canonical),
-            )
-            for rec in records
+            (m.canonical, m.k, m.digit_sum, m.orbit_size, _format_runs(m.runs))
+            for m in (rec.multiset for rec in records)
         ),
     )
 

@@ -140,15 +140,15 @@ def test_criterion_05_zero_free_classes_k10_to_k14():
         report = search(
             SearchConfig(k=k, allow_zero=False, exclude_repdigits=True)
         )
-        found = [r.canonical for r in report.records]
+        found = [r.multiset.canonical for r in report.records]
         expected = list(ZERO_FREE_K10_TO_K14.get(k, ()))
         if found != expected:
             problems.append(f"  k={k}: found {found}, expected {expected}")
         for r in report.records:
-            if r.canonical in expected and not is_pinn_bruteforce(r.multiset)[0]:
+            if r.multiset.canonical in expected and not is_pinn_bruteforce(r.multiset)[0]:
                 problems.append(
-                    f"  k={k}: {r.canonical} (digit sum {r.digit_sum}, "
-                    f"orbit {r.orbit_size}) fails orbit enumeration"
+                    f"  k={k}: {r.multiset.canonical} (digit sum {r.multiset.digit_sum}, "
+                    f"orbit {r.multiset.orbit_size}) fails orbit enumeration"
                 )
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
@@ -171,7 +171,7 @@ def test_criterion_06_criterion_oracle_equivalence():
         for combo in combinations_with_replacement(range(10), k):
             if not any(combo):
                 continue
-            m = DigitMultiset.from_digits(combo)
+            m = DigitMultiset.from_string("".join(map(str, combo)))
             assert is_pinn_criterion(m)[0] == is_pinn_bruteforce(m)[0], m.canonical
             checked += 1
     rng = random.Random(20260815)
@@ -180,7 +180,7 @@ def test_criterion_06_criterion_oracle_equivalence():
             digits = [rng.randrange(10) for _ in range(k)]
             if not any(digits):
                 continue
-            m = DigitMultiset.from_digits(digits)
+            m = DigitMultiset.from_string("".join(map(str, digits)))
             assert is_pinn_criterion(m)[0] == is_pinn_bruteforce(m)[0], m.canonical
             checked += 1
     _passed(6, f"criterion == brute force on {checked} multisets, 0 disagreements")

@@ -138,6 +138,16 @@ def test_check_rejects_garbage(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_other_scripts_digits_are_a_usage_error(capsys):
+    arabic = "\u0661\u0662"  # twelve in Arabic-Indic digits
+    for argv in (
+        ["check", arabic],
+        ["check", f"1_({arabic})"],
+        ["probe-zero-insertion", arabic, "0", "1"],
+    ):
+        assert run(argv) == 2, argv
+
+
 def test_check_refuses_value_list_formats(capsys):
     assert run(["--format", "bfile", "check", "2448"]) == 2
     assert run(["check", "2448", "--format", "csv"]) == 2

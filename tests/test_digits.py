@@ -125,6 +125,13 @@ def test_parse_number_rejects_garbage(bad):
         parse_number(bad)
 
 
+def test_parse_number_rejects_other_scripts_digits():
+    # \d matches Arabic-Indic digits unless the pattern is ASCII-only
+    for text in ("\u0661\u0662", "1_(\u0661\u0662)"):
+        with pytest.raises(ValueError):
+            parse_number(text)
+
+
 def test_format_number_round_trips_through_parse():
     rng = random.Random(13)
     for _ in range(200):
@@ -134,12 +141,12 @@ def test_format_number_round_trips_through_parse():
     assert format_number("1100") == "1100"  # runs below three stay literal
 
 
-def test_multiset_from_digits_matches_from_string():
-    m1 = DigitMultiset.from_digits([4, 4, 2, 8])
-    m2 = DigitMultiset.from_string("2448")
-    assert m1 == m2
+def test_multiset_from_string():
+    m1 = DigitMultiset.from_string("2448")
+    assert m1 == DigitMultiset((0, 0, 1, 0, 2, 0, 0, 0, 1, 0))
     assert m1.k == 4
     assert m1.digit_sum == 18
+    assert m1.runs == ((8, 1), (4, 2), (2, 1))
     assert m1.canonical == "8442"
     assert m1.present_digits == (2, 4, 8)
     # str.isdigit admits other scripts' digits; the digit model does not
@@ -162,7 +169,7 @@ def test_orbit_size_is_the_multinomial():
         digits = [rng.randrange(10) for _ in range(rng.randint(1, 7))]
         if not any(digits):
             digits[0] = 1
-        m = DigitMultiset.from_digits(digits)
+        m = DigitMultiset.from_string("".join(map(str, digits)))
         expected = factorial(m.k)
         for c in m.counts:
             expected //= factorial(c)

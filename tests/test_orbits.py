@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from itertools import combinations_with_replacement, permutations
 from unittest import mock
 
@@ -15,12 +16,12 @@ from permniven.orbits import (
     BudgetExceeded,
     CriterionProof,
     FailureWitness,
+    PinnRecord,
     decide_pinn,
     is_niven,
     is_pinn_bruteforce,
     is_pinn_criterion,
     is_pinn_residue_count,
-    make_record,
     orbit,
     residue_table_size,
 )
@@ -55,7 +56,7 @@ def test_orbit_is_sorted_distinct_and_complete():
         digits = [rng.randrange(10) for _ in range(rng.randint(1, 6))]
         if not any(digits):
             digits[0] = 1
-        m = DigitMultiset.from_digits(digits)
+        m = DigitMultiset.from_string("".join(map(str, digits)))
         perms = list(orbit(m))
         assert perms == sorted(perms)
         assert len(perms) == len(set(perms)) == m.orbit_size
@@ -77,7 +78,7 @@ def test_bruteforce_agrees_with_oracle_and_reports_witness():
         digits = [rng.randrange(10) for _ in range(rng.randint(1, 5))]
         if not any(digits):
             digits[0] = 1
-        m = DigitMultiset.from_digits(digits)
+        m = DigitMultiset.from_string("".join(map(str, digits)))
         ok, proof = is_pinn_bruteforce(m)
         assert ok == brute_pinn(digits)
         if ok:
@@ -94,7 +95,7 @@ def test_criterion_equals_bruteforce_up_to_k4():
         for combo in combinations_with_replacement(range(10), k):
             if not any(combo):
                 continue
-            m = DigitMultiset.from_digits(combo)
+            m = DigitMultiset.from_string("".join(map(str, combo)))
             ok_fast, proof = is_pinn_criterion(m)
             ok_slow, _ = is_pinn_bruteforce(m)
             assert ok_fast == ok_slow, m.canonical
@@ -115,7 +116,7 @@ def test_three_deciders_agree_up_to_k6():
         for combo in combinations_with_replacement(range(10), k):
             if not any(combo):
                 continue
-            m = DigitMultiset.from_digits(combo)
+            m = DigitMultiset.from_string("".join(map(str, combo)))
             ok, witness = is_pinn_residue_count(m)
             assert ok == is_pinn_criterion(m)[0] == is_pinn_bruteforce(m)[0], m.canonical
             # the shared verdict rule: the DP cross-checks every PINN that
@@ -297,14 +298,16 @@ def test_decide_pinn_agrees_with_the_criterion_up_to_width_10_4(m):
         assert_is_witness(m, witness)
 
 
-def test_make_record_only_for_pinns():
-    assert make_record(DigitMultiset.from_string("13")) is None
-    rec = make_record(DigitMultiset.from_string("2448"))
-    assert rec is not None
-    assert rec.canonical == "8442"
-    assert rec.digit_sum == 18
-    assert rec.orbit_size == 12
-    assert isinstance(rec.proof, CriterionProof)
+def test_pinn_record_is_the_multiset_and_its_proof():
+    assert [f.name for f in fields(PinnRecord)] == ["multiset", "proof"]
+    assert not is_pinn_criterion(DigitMultiset.from_string("13"))[0]
+    m = DigitMultiset.from_string("2448")
+    ok, proof = is_pinn_criterion(m)
+    assert ok and isinstance(proof, CriterionProof)
+    rec = PinnRecord(m, proof)
+    assert rec.multiset.canonical == "8442"
+    assert rec.multiset.digit_sum == 18
+    assert rec.multiset.orbit_size == 12
 
 
 def test_values_permutation_closed():

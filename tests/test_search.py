@@ -7,13 +7,14 @@ test-side reference for that scan.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations_with_replacement, permutations
 
 import pytest
 
 from permniven.catalogs import GROUP_CORES, NN2_VALUES
 from permniven.digits import DigitMultiset, multiset_count, parse_number
-from permniven.orbits import decide_pinn, is_pinn_bruteforce, make_record, orbit
+from permniven.orbits import decide_pinn, is_pinn_bruteforce, is_pinn_criterion, orbit
 from permniven.search import (
     CENSUS_MAX,
     SearchConfig,
@@ -39,7 +40,7 @@ def brute_classes(k: int) -> set[DigitMultiset]:
         if all(
             int("".join(map(str, p))) % s == 0 for p in set(permutations(digits))
         ):
-            out.add(DigitMultiset.from_digits(digits))
+            out.add(DigitMultiset.from_string(str(n)))
     return out
 
 
@@ -58,7 +59,7 @@ def test_class_counts(k):
     report = search(SearchConfig(k=k))
     assert len(report.records) == TRUE_CLASS_COUNTS[k]
     # canonical order, no duplicates
-    canos = [r.canonical for r in report.records]
+    canos = [r.multiset.canonical for r in report.records]
     assert canos == sorted(canos) and len(set(canos)) == len(canos)
 
 
@@ -71,7 +72,7 @@ def test_two_stage_agrees_with_full_scan(k):
     for j in range(1, k):
         for rec in search(SearchConfig(k=j, allow_zero=False)).records:
             m = rec.multiset.with_zeros(k - j)
-            if make_record(m) is not None:
+            if is_pinn_criterion(m)[0]:
                 padded.add(m)
     full = search(SearchConfig(k=k))
     assert padded == {r.multiset for r in full.records if r.multiset.counts[0]}
@@ -104,13 +105,14 @@ def test_stage1_beyond_twenty_digits():
     # Zero-free classes do not stop at k = 20: width 21 has three, each
     # confirmed by dividing every arrangement.
     report = search(SearchConfig(k=21, allow_zero=False))
-    assert [(r.canonical, r.digit_sum, r.orbit_size) for r in report.records] == [
+    multisets = [r.multiset for r in report.records]
+    assert [(m.canonical, m.digit_sum, m.orbit_size) for m in multisets] == [
         ("44" + "1" * 19, 27, 210),
         ("7" + "1" * 20, 27, 21),
         ("88" + "2" * 19, 54, 210),
     ]
     for rec in report.records:
-        assert is_pinn_bruteforce(rec.multiset)[0], rec.canonical
+        assert is_pinn_bruteforce(rec.multiset)[0], rec.multiset.canonical
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -120,7 +122,7 @@ def test_search_is_complete_against_bruteforce(k):
     want = set()
     for combo in combinations_with_replacement(range(10), k):
         if any(combo):
-            m = DigitMultiset.from_digits(combo)
+            m = DigitMultiset.from_string("".join(map(str, combo)))
             if is_pinn_bruteforce(m)[0]:
                 want.add(m)
     assert {r.multiset for r in search(SearchConfig(k=k)).records} == want
@@ -164,12 +166,12 @@ def test_search_is_complete_against_independent_reference():
     # Every nonzero multiset at k = 7..9 and every zero-free one at
     # k = 10..14, decided by dividing arrangements directly.
     for k, count in ((7, 74), (8, 78), (9, 94)):
-        found = {r.canonical for r in search(SearchConfig(k=k)).records}
+        found = {r.multiset.canonical for r in search(SearchConfig(k=k)).records}
         assert len(found) == count
         assert found == _reference_classes(k, "9876543210"), k
     for k in range(10, 15):
         zero_free = search(SearchConfig(k=k, allow_zero=False))
-        found = {r.canonical for r in zero_free.records}
+        found = {r.multiset.canonical for r in zero_free.records}
         assert found == _reference_classes(k, "987654321"), k
         assert len(found) == (5 if k == 12 else 0)
 
@@ -185,12 +187,23 @@ def test_elapsed_is_not_part_of_report_identity():
     clone = SearchReport(
         k=r.k,
         records=r.records,
-        stage1_count=r.stage1_count,
-        stage2_count=r.stage2_count,
         multisets_scanned=r.multisets_scanned,
         elapsed=r.elapsed + 123.0,
     )
     assert clone == r
+
+
+def test_search_memory_does_not_grow_with_width():
+    # A record holds its multiset and proof and no canonical string, so the
+    # 87 classes at width 10^6 fit in far less than one of their strings.
+    tracemalloc.start()
+    try:
+        report = search(SearchConfig(k=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 87
+    assert peak < 2**20, peak
 
 
 def test_config_validation():
@@ -204,7 +217,7 @@ def test_report_values_expand_orbits():
     assert values == sorted(values)
     assert len(values) == 82
     # every value really is k digits and every orbit member appears
-    rec = next(r for r in report.records if r.canonical == "432")
+    rec = next(r for r in report.records if r.multiset.canonical == "432")
     expected = {int(p) for p in orbit(rec.multiset) if p[0] != "0"}
     assert expected <= set(values)
     # the text report counts values without expanding them
@@ -278,7 +291,7 @@ def test_classification_theorem():
             # the digit-sum law for more than one nonzero digit
             m = r.multiset
             if m.k - m.counts[0] > 1 and not m.is_repdigit:
-                assert r.digit_sum % 3 == 0 and r.digit_sum <= 81, r.canonical
+                assert m.digit_sum % 3 == 0 and m.digit_sum <= 81, m.canonical
 
 
 PER_K_VALUE_COUNTS = [9, 23, 82, 298, 968, 3008, 6980, 16036, 35794]
@@ -339,10 +352,10 @@ def test_top_width_ranking_matches_orbit_enumeration():
         for rec in search(SearchConfig(k=k)).records:
             perms = [p for p in orbit(rec.multiset) if p[0] != "0"]
             # the class's own values make tops that hit an arrangement exactly
-            chosen = tops | {rng.choice(perms), rec.canonical}
+            chosen = tops | {rng.choice(perms), rec.multiset.canonical}
             for top in chosen:
                 want = sum(1 for p in perms if p <= top)
-                assert _arrangements_upto(rec.multiset, top) == want, (rec.canonical, top)
+                assert _arrangements_upto(rec.multiset, top) == want, (rec.multiset.canonical, top)
 
 
 def test_census_at_large_bounds():

@@ -7,10 +7,13 @@ import json
 
 import pytest
 
+from permniven.digits import DigitMultiset
 from permniven.families import catalog, instantiate
+from permniven.orbits import PinnRecord, is_pinn_criterion
 from permniven.repdigits import ConjectureConstraints, verify_conjecture_grid
 from permniven.search import SearchConfig, census, search
 from permniven.serialize import (
+    _record_to_obj,
     bfile_text,
     census_to_obj,
     family_instances_to_obj,
@@ -22,23 +25,46 @@ from permniven.serialize import (
 
 
 def test_report_round_trip():
-    for k in (2, 5):
-        report = search(SearchConfig(k=k))
+    configs = [SearchConfig(k=k) for k in range(1, 15)]
+    for cfg in [*configs, SearchConfig(k=12, allow_zero=False)]:
+        report = search(cfg)
         text = report_to_json(report)
         back = report_from_json(text)
         assert back == report
         assert report_to_json(back) == text  # stable bytes
 
 
-def test_report_from_json_rebuilds_gap_ranges():
+def test_report_from_json_refuses_what_it_cannot_prove():
+    # The reader rebuilds each class from its counts alone and re-proves it,
+    # so a class the criterion rejects or of another width is refused even
+    # when its other fields agree with it, and so is any field that the
+    # rebuilt report would not write.
     text = report_to_json(search(SearchConfig(k=4)))
-    proof = report_from_json(text).records[0].proof
-    assert proof.position_gaps_checked == range(1, 4)
-    # the gaps are always 1..n, so anything else is refused
-    obj = json.loads(text)
-    obj["records"][0]["proof"]["position_gaps_checked"] = [1, 3, 2]
-    with pytest.raises(ValueError, match="gaps 1..n"):
-        report_from_json(json.dumps(obj))
+    assert report_from_json(text).records[0].proof.position_gaps_checked == range(1, 4)
+    non_pinn = DigitMultiset.from_string("3100")  # 3 - 1 is not 0 mod 4
+    foreign = [
+        _record_to_obj(PinnRecord(non_pinn, is_pinn_criterion(non_pinn)[1])),
+        json.loads(report_to_json(search(SearchConfig(k=5))))["records"][0],
+    ]
+    for rec in foreign:
+        obj = json.loads(text)
+        obj["records"][0] = rec
+        with pytest.raises(ValueError, match="not a PINN class of width 4"):
+            report_from_json(json.dumps(obj))
+    edits = [
+        ("canonical", "1001"),
+        ("digit_sum", 2),
+        ("orbit_size", 5),
+        ("position_gaps_checked", [1, 3, 2]),
+        ("stage1_count", 13),
+    ]
+    for key, value in edits:
+        obj = json.loads(text)
+        rec = obj["records"][0]
+        target = obj if key in obj else rec if key in rec else rec["proof"]
+        target[key] = value
+        with pytest.raises(ValueError, match="do not match"):
+            report_from_json(json.dumps(obj))
 
 
 def test_report_json_excludes_elapsed():
@@ -50,24 +76,15 @@ def test_report_json_excludes_elapsed():
     assert "elapsed" not in report_to_json(report)
 
 
-def test_round_trip_of_failure_proofs():
-    # search emits criterion proofs; exercise the witness shape directly
-    from permniven.orbits import FailureWitness
-    from permniven.serialize import _proof_from_obj, _proof_to_obj
-
-    witness = FailureWitness(permutation="13", residue=1)
-    assert _proof_from_obj(_proof_to_obj(witness)) == witness
-
-
 def test_csv_emission_parses_back():
     report = search(SearchConfig(k=4))
     rows = list(csv.reader(io.StringIO(records_to_csv(report.records))))
     assert rows[0] == ["canonical", "k", "digit_sum", "orbit_size", "compressed"]
     assert len(rows) == len(report.records) + 1
-    for row, rec in zip(rows[1:], report.records):
-        assert row[0] == rec.canonical
-        assert int(row[2]) == rec.digit_sum
-        assert int(row[3]) == rec.orbit_size
+    for row, m in zip(rows[1:], (r.multiset for r in report.records)):
+        assert row[0] == m.canonical
+        assert int(row[2]) == m.digit_sum
+        assert int(row[3]) == m.orbit_size
 
 
 def test_bfile_lines():
