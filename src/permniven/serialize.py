@@ -1,10 +1,16 @@
 """Machine-readable output: JSON (round-trips), CSV, and b-file lines.
 
+Every JSON text is ``to_json_text``'s: exactly what
+``json.dumps(obj, indent=2, sort_keys=True)`` writes, and a newline, but
+built by one recursive walk that joins each container's items, since with
+``indent`` set CPython's ``json`` falls back to its pure-Python encoder.
+
 Search reports serialize without the elapsed field; every other field is
 a pure function of the inputs, so two runs of the same query produce
 byte-identical output.  parse(serialize(r)) reconstructs a report equal to
 r (report equality ignores elapsed): the reader re-proves each class from
-its digit counts and refuses any field that does not match.
+its digit counts, checks the records' canonical order and the size of the
+space scanned, and refuses any field that does not match.
 """
 from __future__ import annotations
 
@@ -12,9 +18,9 @@ import csv
 import io
 import json
 from dataclasses import fields
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from .digits import DigitMultiset, _format_runs, format_number
+from .digits import DigitMultiset, _format_runs, format_number, multiset_count
 from .families import FamilyInstance
 from .orbits import CriterionProof, FailureWitness, PinnRecord, is_pinn_criterion
 from .repdigits import ConjectureConstraints, GridReport
@@ -33,8 +39,49 @@ __all__ = [
 ]
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # C, escapes to ASCII
+_LEAF_TEXT: dict[type, Callable[[Any], str]] = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_INTS_ONLY = {int}
+
+
+def _json_text(o: Any, nl: str) -> str:
+    """o as json.dumps(indent=2, sort_keys=True) writes it on a line that
+    starts with nl, a newline and the indent."""
+    leaf = _LEAF_TEXT.get(type(o))
+    if leaf is not None:
+        return leaf(o)
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if set(map(type, o)) == _INTS_ONLY:  # a gap list: one join
+            items = map(int.__repr__, o)
+        else:
+            items = [_json_text(v, inner) for v in o]
+        return f"[{inner}{sep.join(items)}{nl}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        # _encode_str raises TypeError for a key that is not a str
+        items = [f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in sorted(o.items())]
+        return f"{{{inner}{sep.join(items)}{nl}}}"
+    return json.dumps(o)  # floats, and subclasses of str and int
+
+
 def to_json_text(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.
+
+    With ``indent`` set, CPython's ``json`` runs its pure-Python encoder, a
+    generator per container; this writer builds each container's text from
+    its items' in one join.  Dict keys must be ``str``.
+    """
+    return _json_text(obj, "\n") + "\n"
 
 
 # --- proofs and records -------------------------------------------------------------
@@ -70,10 +117,11 @@ def _record_to_obj(rec: PinnRecord) -> dict[str, Any]:
 # --- search reports ----------------------------------------------------------------
 
 def _report_to_obj(report: SearchReport) -> dict[str, Any]:
+    stage1 = report.stage1_count
     return {
         "k": report.k,
-        "stage1_count": report.stage1_count,
-        "stage2_count": report.stage2_count,
+        "stage1_count": stage1,
+        "stage2_count": len(report.records) - stage1,
         "multisets_scanned": report.multisets_scanned,
         "records": [_record_to_obj(r) for r in report.records],
     }
@@ -86,20 +134,33 @@ def report_to_json(report: SearchReport) -> str:
 def report_from_json(text: str) -> SearchReport:
     """The report that text serializes, rebuilt from each record's counts
     and re-proved by the criterion.  Raises ValueError for a class of
-    another width or one the criterion rejects, and for any other field
-    that differs from what the rebuilt report would write."""
+    another width or one the criterion rejects, for records out of the
+    search's canonical order or repeated, for a multisets_scanned that is
+    not the size of the full space or, when no class has a zero, of the
+    zero-free one, and for any other field that differs from what the
+    rebuilt report would write."""
     obj = json.loads(text)
+    k = obj["k"]
     records = []
     for r in obj["records"]:
         m = DigitMultiset(tuple(r["counts"]))
         ok, proof = is_pinn_criterion(m)
-        if not ok or m.k != obj["k"]:
-            raise ValueError(f"{m} is not a PINN class of width {obj['k']}")
+        if not ok or m.k != k:
+            raise ValueError(f"{m} is not a PINN class of width {k}")
+        if records and records[-1].multiset.counts[::-1] >= m.counts[::-1]:
+            raise ValueError(f"{m} is out of canonical order or repeated")
         records.append(PinnRecord(m, proof))
+    # the zero-free space holds no class with a zero
+    scanned = obj["multisets_scanned"]
+    zero_free = not any(r.multiset.counts[0] for r in records)
+    if scanned != multiset_count(k, True) and (
+        not zero_free or scanned != multiset_count(k, False)
+    ):
+        raise ValueError("multisets_scanned is not the size of a space that holds these classes")
     report = SearchReport(
-        k=obj["k"],
+        k=k,
         records=tuple(records),
-        multisets_scanned=obj["multisets_scanned"],
+        multisets_scanned=scanned,
     )
     if _report_to_obj(report) != obj:
         raise ValueError("report fields do not match its classes")

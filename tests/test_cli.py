@@ -375,3 +375,25 @@ def test_global_flags_accepted_in_both_positions(capsys):
     first = capsys.readouterr().out
     assert run(["search", "--k", "2", "--format", "json"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--k", "7"],
+        ["search", "--k", "12", "--no-zeros"],
+        ["check", "2448"],
+        ["check", "13"],
+        ["families", "--k", "12", "--verify"],
+        ["census", "--max", "999"],
+        ["repdigit", "--n", "4", "--delta2", "1", "--a", "3"],
+        ["repdigit", "--sweep", "3000"],
+        ["repdigit", "--grid", "--max-exp", "2"],
+        ["order", "--m", "757"],
+        ["probe-zero-insertion", "1_(27)", "1", "1"],
+    ],
+)
+def test_json_output_is_indented_sorted_json(capsys, argv):
+    run([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -4,10 +4,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permniven.digits import DigitMultiset
+from permniven.digits import DigitMultiset, multiset_count
 from permniven.families import catalog, instantiate
 from permniven.orbits import PinnRecord, is_pinn_criterion
 from permniven.repdigits import ConjectureConstraints, verify_conjecture_grid
@@ -21,6 +25,7 @@ from permniven.serialize import (
     records_to_csv,
     report_from_json,
     report_to_json,
+    to_json_text,
 )
 
 
@@ -64,6 +69,24 @@ def test_report_from_json_refuses_what_it_cannot_prove():
         target = obj if key in obj else rec if key in rec else rec["proof"]
         target[key] = value
         with pytest.raises(ValueError, match="do not match"):
+            report_from_json(json.dumps(obj))
+    # the records must be the search's: in canonical order, each once, over
+    # the full or the zero-free space of width 4
+    reversed_ = json.loads(text)
+    reversed_["records"].reverse()
+    repeated = json.loads(text)
+    repeated["records"].append(repeated["records"][-1])
+    repeated["stage2_count"] += 1
+    assert repeated["records"][-1]["counts"][0]  # the last class has a zero
+    for obj in (reversed_, repeated):
+        with pytest.raises(ValueError, match="out of canonical order or repeated"):
+            report_from_json(json.dumps(obj))
+    # 7 counts no space; the zero-free one cannot hold this report's
+    # classes with a zero
+    for scanned in (7, multiset_count(4, allow_zero=False)):
+        obj = json.loads(text)
+        obj["multisets_scanned"] = scanned
+        with pytest.raises(ValueError, match="multisets_scanned"):
             report_from_json(json.dumps(obj))
 
 
@@ -123,3 +146,54 @@ def test_census_to_obj():
     assert obj["max_value"] == 999
     assert sum(obj["digit_sum_histogram"].values()) == 114
     json.dumps(obj)
+
+
+# keys and strings that need escaping: quotes, backslashes, control and
+# non-ASCII characters, astral ones included
+_texts = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600') | st.characters(),
+    max_size=6,
+)
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | _texts
+    | st.lists(st.integers())  # the one-join path for int lists
+    | st.lists(st.integers() | st.booleans())
+)
+_json_values = st.recursive(
+    _leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_texts, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_json_values)
+def test_to_json_text_writes_what_json_dumps_writes(value):
+    assert to_json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_to_json_text_beyond_the_int_conversion_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as cli.run does while a command runs
+    try:
+        value = {"n": 7**6000, "gaps": [1, -(10**5000)]}
+        assert len(str(value["n"])) > 4300
+        assert to_json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {None: 1}, [{"a": {(1, 2): 3}}]])
+def test_to_json_text_takes_only_str_keys(value):
+    with pytest.raises(TypeError):
+        to_json_text(value)
