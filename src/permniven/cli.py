@@ -203,11 +203,11 @@ def _render_instances(ns: argparse.Namespace, instances, verify_failures=None) -
         for inst in instances:
             print(f"{inst.template_id} k={inst.k}: {len(inst.members)} members")
             for m in inst.members:
-                print(f"  {format_number(m.canonical)}")
+                print(f"  {_format_runs(m.runs)}")
         if verify_failures is not None:
             if verify_failures:
                 for tid, m in verify_failures:
-                    print(f"FAILED {tid}: {format_number(m.canonical)}")
+                    print(f"FAILED {tid}: {_format_runs(m.runs)}")
             else:
                 total = sum(len(inst.members) for inst in instances)
                 print(f"verified: all {total} members")

@@ -8,9 +8,8 @@ built by one recursive walk that joins each container's items, since with
 Search reports serialize without the elapsed field; every other field is
 a pure function of the inputs, so two runs of the same query produce
 byte-identical output.  parse(serialize(r)) reconstructs a report equal to
-r (report equality ignores elapsed): the reader re-proves each class from
-its digit counts, checks the records' canonical order and the size of the
-space scanned, and refuses any field that does not match.
+r (report equality ignores elapsed): the reader runs the search that
+writes the text and refuses any text that no search writes.
 """
 from __future__ import annotations
 
@@ -20,11 +19,11 @@ import json
 from dataclasses import fields
 from typing import Any, Callable, Iterable, Sequence
 
-from .digits import DigitMultiset, _format_runs, format_number, multiset_count
+from .digits import _format_runs, multiset_count
 from .families import FamilyInstance
-from .orbits import CriterionProof, FailureWitness, PinnRecord, is_pinn_criterion
+from .orbits import CriterionProof, FailureWitness, PinnRecord
 from .repdigits import ConjectureConstraints, GridReport
-from .search import CensusResult, SearchReport
+from .search import CensusResult, SearchConfig, SearchReport, search
 
 __all__ = [
     "bfile_text",
@@ -132,39 +131,28 @@ def report_to_json(report: SearchReport) -> str:
 
 
 def report_from_json(text: str) -> SearchReport:
-    """The report that text serializes, rebuilt from each record's counts
-    and re-proved by the criterion.  Raises ValueError for a class of
-    another width or one the criterion rejects, for records out of the
-    search's canonical order or repeated, for a multisets_scanned that is
-    not the size of the full space or, when no class has a zero, of the
-    zero-free one, and for any other field that differs from what the
-    rebuilt report would write."""
+    """The search report that text serializes, found by running the search
+    again.  The text names the width and, by ``multisets_scanned``, the
+    space; it does not mark ``exclude_repdigits``, so both settings are
+    tried.  Raises ValueError unless one of these searches writes exactly
+    this object (KeyError or TypeError for a missing or ill-typed field)."""
     obj = json.loads(text)
-    k = obj["k"]
-    records = []
-    for r in obj["records"]:
-        m = DigitMultiset(tuple(r["counts"]))
-        ok, proof = is_pinn_criterion(m)
-        if not ok or m.k != k:
-            raise ValueError(f"{m} is not a PINN class of width {k}")
-        if records and records[-1].multiset.counts[::-1] >= m.counts[::-1]:
-            raise ValueError(f"{m} is out of canonical order or repeated")
-        records.append(PinnRecord(m, proof))
-    # the zero-free space holds no class with a zero
-    scanned = obj["multisets_scanned"]
-    zero_free = not any(r.multiset.counts[0] for r in records)
-    if scanned != multiset_count(k, True) and (
-        not zero_free or scanned != multiset_count(k, False)
-    ):
-        raise ValueError("multisets_scanned is not the size of a space that holds these classes")
-    report = SearchReport(
-        k=k,
-        records=tuple(records),
-        multisets_scanned=scanned,
-    )
-    if _report_to_obj(report) != obj:
-        raise ValueError("report fields do not match its classes")
-    return report
+    k, records = obj["k"], obj["records"]
+    refused = ValueError(f"not a search report of width {k}")
+    # each record writes its k-digit canonical string, so a shorter text
+    # is refused before any work that grows with k
+    if type(k) is not int or len(text) < k * len(records):
+        raise refused
+    allow_zero = obj["multisets_scanned"] != multiset_count(k, False)
+    counts = [r["counts"] for r in records]
+    for exclude in (False, True):
+        report = search(SearchConfig(k, allow_zero, exclude))
+        # the counts first: only then build the k-digit strings
+        if counts == [list(r.multiset.counts) for r in report.records] and (
+            _report_to_obj(report) == obj
+        ):
+            return report
+    raise refused
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
@@ -204,7 +192,7 @@ def family_instances_to_obj(instances: Iterable[FamilyInstance]) -> list[dict[st
         {
             "template": inst.template_id,
             "k": inst.k,
-            "members": [format_number(m.canonical) for m in inst.members],
+            "members": [_format_runs(m.runs) for m in inst.members],
         }
         for inst in instances
     ]

@@ -195,6 +195,24 @@ def test_families_listing_and_verify(capsys):
     assert "verified: all 87 members" in capsys.readouterr().out
 
 
+def test_families_never_expands_a_member(capsys):
+    # at k = 10^7 every member line and JSON entry is printed from its runs,
+    # and the verification reads the counts, so no k-digit string is built
+    for fmt in ("text", "json"):
+        tracemalloc.start()
+        try:
+            assert run(["families", "--verify", "--k", "10000000", "--format", fmt]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert json.loads(out)["families"][0]["members"][0] == "10_(9999999)"
+        else:
+            assert out.splitlines()[1] == "  10_(9999999)"
+
+
 def test_budget_only_where_it_is_read(capsys):
     assert run(["search", "--k", "6", "--budget", "1"]) == 2
     assert run(["--budget", "1", "check", "2448"]) == 2

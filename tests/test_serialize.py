@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +31,22 @@ from permniven.serialize import (
 
 
 def test_report_round_trip():
+    # the reader infers the space from multisets_scanned and tries both
+    # exclude_repdigits settings, which the JSON does not mark
     configs = [SearchConfig(k=k) for k in range(1, 15)]
-    for cfg in [*configs, SearchConfig(k=12, allow_zero=False)]:
+    configs += [
+        SearchConfig(k=12, allow_zero=False),
+        SearchConfig(k=12, exclude_repdigits=True),
+        SearchConfig(k=12, allow_zero=False, exclude_repdigits=True),
+        # at k = 1 both spaces have the same size
+        SearchConfig(k=1, allow_zero=False),
+        SearchConfig(k=1, exclude_repdigits=True),
+        # no class at all
+        SearchConfig(k=13, allow_zero=False, exclude_repdigits=True),
+    ]
+    assert multiset_count(1, True) == multiset_count(1, False)
+    assert not search(configs[-1]).records
+    for cfg in configs:
         report = search(cfg)
         text = report_to_json(report)
         back = report_from_json(text)
@@ -39,11 +54,16 @@ def test_report_round_trip():
         assert report_to_json(back) == text  # stable bytes
 
 
+def _refused(obj) -> None:
+    with pytest.raises(ValueError, match="not a search report of width"):
+        report_from_json(json.dumps(obj))
+
+
 def test_report_from_json_refuses_what_it_cannot_prove():
-    # The reader rebuilds each class from its counts alone and re-proves it,
-    # so a class the criterion rejects or of another width is refused even
-    # when its other fields agree with it, and so is any field that the
-    # rebuilt report would not write.
+    # The reader runs the search again, so any text that no search writes
+    # is refused: a class the criterion rejects or of another width, a
+    # field edited, records out of order, repeated or left out, and a
+    # multisets_scanned that is not the size of the space searched.
     text = report_to_json(search(SearchConfig(k=4)))
     assert report_from_json(text).records[0].proof.position_gaps_checked == range(1, 4)
     non_pinn = DigitMultiset.from_string("3100")  # 3 - 1 is not 0 mod 4
@@ -54,40 +74,69 @@ def test_report_from_json_refuses_what_it_cannot_prove():
     for rec in foreign:
         obj = json.loads(text)
         obj["records"][0] = rec
-        with pytest.raises(ValueError, match="not a PINN class of width 4"):
-            report_from_json(json.dumps(obj))
+        _refused(obj)
     edits = [
         ("canonical", "1001"),
         ("digit_sum", 2),
         ("orbit_size", 5),
         ("position_gaps_checked", [1, 3, 2]),
         ("stage1_count", 13),
+        ("k", 4.0),
+        ("k", "4"),
     ]
     for key, value in edits:
         obj = json.loads(text)
         rec = obj["records"][0]
         target = obj if key in obj else rec if key in rec else rec["proof"]
         target[key] = value
-        with pytest.raises(ValueError, match="do not match"):
-            report_from_json(json.dumps(obj))
-    # the records must be the search's: in canonical order, each once, over
-    # the full or the zero-free space of width 4
+        _refused(obj)
     reversed_ = json.loads(text)
     reversed_["records"].reverse()
     repeated = json.loads(text)
     repeated["records"].append(repeated["records"][-1])
     repeated["stage2_count"] += 1
+    left_out = json.loads(text)
+    left_out["records"].pop()
+    left_out["stage2_count"] -= 1
     assert repeated["records"][-1]["counts"][0]  # the last class has a zero
-    for obj in (reversed_, repeated):
-        with pytest.raises(ValueError, match="out of canonical order or repeated"):
-            report_from_json(json.dumps(obj))
+    for obj in (reversed_, repeated, left_out):
+        _refused(obj)
     # 7 counts no space; the zero-free one cannot hold this report's
     # classes with a zero
     for scanned in (7, multiset_count(4, allow_zero=False)):
         obj = json.loads(text)
         obj["multisets_scanned"] = scanned
-        with pytest.raises(ValueError, match="multisets_scanned"):
-            report_from_json(json.dumps(obj))
+        _refused(obj)
+    # Texts too short for their width are refused before any work that grows
+    # with it: one class at 10^8 with a one-digit canonical string, and the
+    # classes the search finds at 10^8 without their canonical strings
+    # (building them would take 8.7 GB).  An empty report at 10^12 differs
+    # from the search's in its counts, before any k-digit string is built.
+    k = 10**8
+    one = json.loads(text)
+    one.update(k=k, multisets_scanned=multiset_count(k), stage1_count=0, stage2_count=1)
+    one["records"] = one["records"][:1]
+    assert one["records"][0]["canonical"] == "1000"
+    one["records"][0].update(counts=[k - 1, 1] + [0] * 8, canonical="1")
+    report = search(SearchConfig(k=k))
+    bare = {
+        "k": k,
+        "stage1_count": report.stage1_count,
+        "stage2_count": report.stage2_count,
+        "multisets_scanned": report.multisets_scanned,
+        "records": [{"counts": list(r.multiset.counts)} for r in report.records],
+    }
+    k = 10**12
+    empty = {"k": k, "stage1_count": 0, "stage2_count": 0,
+             "multisets_scanned": multiset_count(k), "records": []}
+    for obj in (one, bare, empty):
+        tracemalloc.start()
+        try:
+            _refused(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 def test_report_json_excludes_elapsed():
