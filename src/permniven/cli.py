@@ -246,7 +246,10 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
     if ns.sweep is not None:
         if ns.sweep < 1:
             raise UsageError("--sweep LIMIT must be >= 1")
-        values = exact_condition_sweep(ns.sweep)
+        try:
+            values = exact_condition_sweep(ns.sweep)
+        except OverflowError as exc:  # limit above SWEEP_LIMIT_CAP, refused before any work
+            raise UsageError(str(exc)) from exc
         if ns.format == "json":
             sys.stdout.write(to_json_text({"limit": ns.sweep, "k_values": values}))
         elif ns.format == "csv":

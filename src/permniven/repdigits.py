@@ -25,6 +25,7 @@ from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .digits import digit_sum_of, parse_number, value_mod
+from .numtheory import probable_prime
 
 __all__ = [
     "CONJECTURE_PRIMES",
@@ -43,8 +44,8 @@ __all__ = [
 
 # Parameter -> prime.  Each prime p at ladder level j satisfies
 # ord_p(10) = 3^j exactly, which is what the minimal-index constraints
-# encode.  Note delta2: the order-81 requirement pins 9397 (the frequently
-# quoted 9937 is 19 * 523, composite, and its order is not a power of 3).
+# encode; for j = 1..4 they are all the primes of that order, and delta2
+# is 9397, not the often quoted 9937 (test_repdigits.py multiplies them out).
 CONJECTURE_PRIMES: dict[str, int] = {
     "n": 3,
     "alpha": 37,
@@ -70,6 +71,11 @@ _LADDER: dict[str, int] = {
 # 10^k mod 9k and mod 9ka take about a second at this size (2 cores, Python
 # 3.11), and their time grows faster than the square of the bit length.
 K_BIT_CAP = 6144
+
+# exact_condition_sweep refuses larger limits.  It takes about 1.2 s at this
+# limit (291 widths) and 12 s at 10^11 (471 widths; 2 cores, Python 3.11),
+# most of it testing the candidates p == 1 (mod 74) for children of k = 111.
+SWEEP_LIMIT_CAP = 10**10
 
 # verify_conjecture_grid skips tuples whose modulus 9k may exceed this many bits
 GRID_BIT_CAP = 4096
@@ -325,21 +331,52 @@ def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridR
 
 
 def exact_condition_sweep(limit: int) -> list[int]:
-    """All k <= limit with 10^k == 1 (mod 9k), scanning only the k that can
-    qualify.
+    """All k <= limit with 10^k == 1 (mod 9k), walked as a tree.
 
-    Let k > 1 qualify.  Then 10 is a unit mod 9k, so k is odd and 5 does not
-    divide it.  Let p be the smallest prime factor of k.  The order of 10
-    mod p divides k, as 10^k == 1 (mod p), and divides p - 1 by Fermat.
-    Every prime factor of p - 1 is below p and so does not divide k, hence
-    gcd(k, p - 1) = 1, the order is 1, and p divides 10 - 1 = 9: p = 3.
-    So k is an odd multiple of 3, k == 3 (mod 6), and 5 does not divide it.
+    The parent of k > 1 is k / P(k), P(k) its largest prime factor (the
+    README proves it under `repdigit --sweep`), so the children of k are 3k
+    when k is a power of 3, and pk for each prime p >= P(k), p != 3, whose
+    order d = ord_p(10) divides k.  Then p == 1 (mod 2d).  For d = 3, 9, 27
+    or 81, p is listed in CONJECTURE_PRIMES; any other d is a multiple of a
+    prime q != 3 of k or of 243, so p is sought among the p == 1 (mod 2q)
+    or (mod 486) up to limit // k.  Every width found is checked again by
+    pow(10, k, 9k) == 1, the second decider.  Raises OverflowError, before
+    any work, for a limit above SWEEP_LIMIT_CAP.
     """
+    if limit > SWEEP_LIMIT_CAP:
+        raise OverflowError(
+            f"the sweep limit {limit} is above the cap of {SWEEP_LIMIT_CAP}"
+        )
     if limit < 1:
         return []
-    return [1] + [
-        k for k in range(3, limit + 1, 6) if k % 5 and pow(10, k, 9 * k) == 1
-    ]
+    found = []
+    # each node carries its factorization: k, the exponent of 3 in it, and
+    # its other primes in ascending order
+    stack = [(1, 0, ())]
+    while stack:
+        k, v3, primes = stack.pop()
+        found.append(k)
+        if not primes and 3 * k <= limit:
+            stack.append((3 * k, v3 + 1, ()))
+        top = limit // k
+        low = primes[-1] if primes else 3
+        children = {
+            p for p in CONJECTURE_PRIMES.values()
+            if p != 3 and low <= p <= top and pow(10, k, p) == 1
+        }
+        # p % 3 spares the pow for the third of the candidates that 3 divides
+        for step in [2 * q for q in primes] + ([486] if v3 >= 5 else []):
+            children.update(
+                p for p in range(low + (1 - low) % step, top + 1, step)
+                if p % 3 and pow(10, k, p) == 1 and probable_prime(p).is_prime
+            )
+        stack.extend(
+            (p * k, v3, primes if p == low else primes + (p,)) for p in children
+        )
+    for k in found:
+        if pow(10, k, 9 * k) != 1:
+            raise ArithmeticError(f"the tree gave k = {k}, but 10^k != 1 (mod 9k)")
+    return sorted(found)
 
 
 # --- zero insertion ---------------------------------------------------------------

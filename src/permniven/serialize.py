@@ -135,16 +135,20 @@ def report_from_json(text: str) -> SearchReport:
     again.  The text names the width and, by ``multisets_scanned``, the
     space; it does not mark ``exclude_repdigits``, so both settings are
     tried.  Raises ValueError unless one of these searches writes exactly
-    this object (KeyError or TypeError for a missing or ill-typed field)."""
+    this object, also for JSON of another shape."""
     obj = json.loads(text)
-    k, records = obj["k"], obj["records"]
+    k = obj.get("k") if type(obj) is dict else None
     refused = ValueError(f"not a search report of width {k}")
+    try:
+        records, scanned = obj["records"], obj["multisets_scanned"]
+        counts = [r["counts"] for r in records]
+    except (KeyError, TypeError):
+        raise refused from None
     # each record writes its k-digit canonical string, so a shorter text
     # is refused before any work that grows with k
-    if type(k) is not int or len(text) < k * len(records):
+    if type(k) is not int or k < 1 or len(text) < k * len(records):
         raise refused
-    allow_zero = obj["multisets_scanned"] != multiset_count(k, False)
-    counts = [r["counts"] for r in records]
+    allow_zero = scanned != multiset_count(k, False)
     for exclude in (False, True):
         report = search(SearchConfig(k, allow_zero, exclude))
         # the counts first: only then build the k-digit strings

@@ -308,6 +308,16 @@ def test_repdigit_sweep_rejects_a_limit_below_one(capsys, limit):
     assert "--sweep" in capsys.readouterr().err
 
 
+def test_repdigit_sweep_refuses_a_limit_over_the_cap_at_once(capsys):
+    # the walk takes about a second at the cap of 10^10 and grows past it
+    t0 = time.monotonic()
+    assert run(["repdigit", "--sweep", "10000000001"]) == 2
+    assert time.monotonic() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap of 10000000000" in captured.err
+
+
 def test_repdigit_refuses_a_width_over_the_bit_cap_at_once(capsys):
     # k = 3^500000 has a million bits; 10^k mod 9k would run for hours
     t0 = time.monotonic()

@@ -118,6 +118,26 @@ def test_conjecture_primes_are_prime_with_3_power_orders():
     assert [p for p in CONJECTURE_PRIMES.values() if pow(10, p - 1, p * p) == 1] == [3]
 
 
+@pytest.mark.parametrize("j, primes", [
+    (1, [37]),
+    (2, [333667]),
+    (3, [757, 440334654777631]),
+    (4, [163, 9397, 2462401, 676421558270641, 130654897808007778425046117]),
+])
+def test_conjecture_primes_are_every_prime_of_order_3_to_81(j, primes):
+    # every prime of order 3^j divides the cyclotomic value Phi_{3^j}(10),
+    # so these products show that the list holds all of them: the tree of
+    # exact_condition_sweep takes its children of these orders from it
+    cyclotomic = (10 ** 3**j - 1) // (10 ** 3 ** (j - 1) - 1)
+    of_order = [
+        p for p in CONJECTURE_PRIMES.values()
+        if pow(10, 3**j, p) == 1 and pow(10, 3 ** (j - 1), p) != 1
+    ]
+    assert sorted(of_order) == primes
+    assert cyclotomic == 3 * math.prod(primes)
+    assert all(probable_prime(p).is_prime for p in primes)
+
+
 def test_grid_default_bounds_pass():
     report = verify_conjecture_grid()
     assert report.bounds == DEFAULT_GRID_BOUNDS
@@ -202,16 +222,80 @@ def test_grid_bit_cap_skips_and_reports(monkeypatch):
     assert all(e.modulus_bits <= 16 for e in report.entries if e.expected)
 
 
+def reference_sweep(limit):
+    """All k <= limit with 10^k == 1 (mod 9k), scanning only the k that can
+    qualify.
+
+    Let k > 1 qualify.  Then 10 is a unit mod 9k, so k is odd and 5 does not
+    divide it.  Let p be the smallest prime factor of k.  The order of 10
+    mod p divides k, as 10^k == 1 (mod p), and divides p - 1 by Fermat.
+    Every prime factor of p - 1 is below p and so does not divide k, hence
+    gcd(k, p - 1) = 1, the order is 1, and p divides 10 - 1 = 9: p = 3.
+    So k is an odd multiple of 3, k == 3 (mod 6), and 5 does not divide it.
+    """
+    if limit < 1:
+        return []
+    return [1] + [
+        k for k in range(3, limit + 1, 6) if k % 5 and pow(10, k, 9 * k) == 1
+    ]
+
+
 def test_sweep_prefix_and_completeness():
     assert exact_condition_sweep(3000) == SWEEP_PREFIX
     assert len(exact_condition_sweep(10**5)) == 25
     assert len(exact_condition_sweep(3 * 10**5)) == 31
-    # the sweep visits only k == 3 (mod 6); the brute scan visits every k
+    # the tree against the k == 3 (mod 6) scan: every limit to 3000, whose
+    # reference is a prefix of the scan to 3000, and three larger ones
+    scan = reference_sweep(3000)
+    for limit in range(1, 3001):
+        assert exact_condition_sweep(limit) == [k for k in scan if k <= limit], limit
+    for limit in (10**5, 3 * 10**5, 10**6):
+        assert exact_condition_sweep(limit) == reference_sweep(limit), limit
+    # the brute scan visits every k
     brute = [k for k in range(1, 10**5 + 1) if pow(10, k, 9 * k) == 1]
     assert exact_condition_sweep(10**5) == brute
     assert exact_condition_sweep(1199) == [k for k in brute if k <= 1199]
     assert exact_condition_sweep(1) == exact_condition_sweep(2) == [1]
     assert exact_condition_sweep(0) == exact_condition_sweep(-5) == []
+    # a limit that is itself a width keeps it, one below drops it
+    for k in exact_condition_sweep(10**7):
+        assert exact_condition_sweep(k)[-1] == k
+        assert k not in exact_condition_sweep(k - 1)
+
+
+def test_sweep_past_the_reference():
+    # 178 widths to 10^9, as an independent walk that factored Phi_d(10)
+    # for d <= 40 found.  3^6 * 313471 is one: 313471 has order 729, so
+    # only the search among p == 1 (mod 486) finds it.
+    widths = exact_condition_sweep(10**9)
+    assert len(widths) == 178
+    assert 3**6 * 313471 in widths
+    assert all(pow(10, k, 9 * k) == 1 for k in widths)
+
+
+def test_sweep_refuses_a_limit_above_the_cap():
+    assert repdigits.SWEEP_LIMIT_CAP == 10**10
+    with pytest.raises(OverflowError, match=str(repdigits.SWEEP_LIMIT_CAP)):
+        exact_condition_sweep(repdigits.SWEEP_LIMIT_CAP + 1)
+
+
+def test_sweep_checks_children_and_widths(monkeypatch):
+    # a walk whose pow says 10^k == 1 for every k modulo the numbers in
+    # `fooled`, while the closed form's pow stays true
+    fooled = set()
+
+    def walk_pow(base, exp, mod):
+        return 1 if mod in fooled else pow(base, exp, mod)
+
+    monkeypatch.setattr(repdigits, "pow", walk_pow, raising=False)
+    # 371 = 7 * 53 == 1 (mod 74) is a candidate child of 111 but not prime
+    fooled.add(371)
+    assert exact_condition_sweep(10**5) == reference_sweep(10**5)
+    # 333667, of order 9, becomes a child of 1 and of 3; the closed form
+    # refuses both
+    fooled.add(333667)
+    with pytest.raises(ArithmeticError, match=r"k = (333667|1001001),"):
+        exact_condition_sweep(10**7)
 
 
 def test_sweep_members_satisfy_the_ladder_parameterization():

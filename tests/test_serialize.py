@@ -137,6 +137,10 @@ def test_report_from_json_refuses_what_it_cannot_prove():
         finally:
             tracemalloc.stop()
         assert peak < 10**6
+    # JSON of another shape gets the same refusal, not a KeyError or TypeError
+    for shape in ('{"records": []}', '{"k": 4, "records": 5}', "[]", "5"):
+        with pytest.raises(ValueError, match="not a search report of width"):
+            report_from_json(shape)
 
 
 def test_report_json_excludes_elapsed():
