@@ -10,7 +10,8 @@ The printed k=6 and k=9 tables omit 6 and 7 classes that the search finds,
 each with digit sum 27 or 54 and each confirmed by full orbit enumeration.
 The tables stay as printed; the 13 omissions are named in acceptance
 criterion 4 (`CATALOG_OMISSIONS` in tests/test_acceptance.py), which fails
-on any further disagreement in either direction.
+on any further disagreement in either direction.  They are among the 31
+ZERO_FREE_EXTRAS below, which ``search.census`` counts with the cores.
 
 Layout.  Every catalog entry is a zero-free "core" padded with zeros up to
 the requested length.  The 87 cores, padded, are also every PINN class
@@ -23,6 +24,10 @@ makes every entry exactly k digits wide; the one undersized entry printed
 in the 4-digit source table, 900, is thereby completed to 9000).  Cores
 are written in the run-compressed notation of the longer tables, in the
 printed order.
+
+ZERO_FREE_EXTRAS holds every zero-free PINN class that is neither a
+repdigit nor a core, keyed by width; there is no other at any width
+(README, "Classification").
 
 This module holds the data only.  The padding lives in ``families``, whose
 ``catalog(k)`` and ``instantiate(family_id, k)`` are two views of
@@ -51,6 +56,19 @@ GROUP_CORES: tuple[tuple[str, ...], ...] = (
     ("1_(9)", "2_(9)", "3_(9)", "4_(9)", "5_(9)", "6_(9)", "7_(9)", "8_(9)",
      "9_(9)"),
 )
+
+# The zero-free non-repdigit classes that are not cores, by width.
+ZERO_FREE_EXTRAS: dict[int, tuple[str, ...]] = {
+    6: ("5_(5)2", "74_(5)", "774_(3)1", "7_(3)411", "85_(3)22", "8852_(3)"),
+    9: ("4_(6)1_(3)", "5_(3)2_(6)", "74_(4)1_(4)", "77441_(5)", "7_(3)1_(6)",
+        "852_(7)", "8_(6)2_(3)"),
+    12: ("4_(5)1_(7)", "52_(11)", "74_(3)1_(8)", "7741_(9)", "8_(5)2_(7)"),
+    15: ("4_(4)1_(11)", "7441_(12)", "771_(13)", "8_(4)2_(11)"),
+    18: ("4_(3)1_(15)", "741_(16)", "8_(3)2_(15)"),
+    21: ("441_(19)", "71_(20)", "882_(19)"),
+    24: ("41_(23)", "82_(23)"),
+    42: ("8_(3)1_(39)",),
+}
 
 # The complete list of 2-digit PINN values, as printed.
 NN2_VALUES: tuple[int, ...] = (

@@ -54,10 +54,13 @@ class FamilyInstance:
 
 
 @cache
+def _parsed(texts: tuple[str, ...]) -> tuple[DigitMultiset, ...]:
+    """The classes of a stored table row, parsed once."""
+    return tuple(DigitMultiset.from_string(parse_number(t)) for t in texts)
+
+
 def _cores(group: int) -> tuple[DigitMultiset, ...]:
-    return tuple(
-        DigitMultiset.from_string(parse_number(core)) for core in GROUP_CORES[group]
-    )
+    return _parsed(GROUP_CORES[group])
 
 
 def _core_width(group: int) -> int:

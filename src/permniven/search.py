@@ -29,9 +29,12 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from math import comb
 from typing import NamedTuple
 
+from .catalogs import GROUP_CORES, ZERO_FREE_EXTRAS
 from .digits import DigitMultiset, multiset_count
+from .families import _parsed
 from .orbits import _MAX_CLASS_SUM, PinnRecord, class_modulus, is_pinn_criterion, orbit
 
 __all__ = [
@@ -170,7 +173,9 @@ def _niven_count(max_value: int) -> int:
     d * 10^(m-1), which rotates the residues by that amount mod s.  The
     walk down max_value's digits then counts, at each position, the strings
     that follow its prefix and put a smaller digit there: the tail must
-    bring the digit sum to s and the value to 0 mod s.
+    bring the digit sum to s and the value to 0 mod s.  The L - m digits
+    in front of a tail of m add at most 9(L - m), so the walk reads f[m][r]
+    only for r >= s - 9(L - m), and each row is kept from there up.
     """
     top = str(max_value)
     L = len(top)
@@ -185,24 +190,30 @@ def _niven_count(max_value: int) -> int:
         def rotate(packed: int, a: int) -> int:
             return ((packed & low[s - a]) << (width * a)) | (packed >> (width * (s - a)))
 
+        # f[m] holds f[m][r] for r = lo[m]..min(s, 9m) as row[r - lo[m]]
+        lo = [max(0, s - 9 * (L - m)) for m in range(L)]
         f = [[1]]  # the empty string: digit sum 0, residue 0
         for m in range(1, L):
             prev = f[-1]
+            base = lo[m - 1]
             p = pow(10, m - 1, s)
             row = []
             acc = 0
-            for r in range(min(s, 9 * m) + 1):
-                # f[m][r] = sum over d <= 9 of prev[r - d] rotated by d * p:
-                # rotating f[m][r - 1] by p shifts every term one digit up,
-                # the term that reaches d = 10 drops out and d = 0 comes in;
-                # each lane holds at least what is subtracted, so no borrow
-                # crosses a lane
+            # f[m][r] = sum over d <= 9 of f[m-1][r - d] rotated by d * p:
+            # rotating f[m][r - 1] by p shifts every term one digit up,
+            # the term that reaches d = 10 drops out and d = 0 comes in;
+            # each lane holds at least what is subtracted, so no borrow
+            # crosses a lane.  The slide starts at f[m-1]'s lower edge, so
+            # its first sums miss terms below it; they lie under lo[m] and
+            # are not kept.
+            for r in range(base, min(s, 9 * m) + 1):
                 acc = rotate(acc, p)
-                if 0 <= r - 10 < len(prev):
-                    acc -= rotate(prev[r - 10], 10 * p % s)
-                if r < len(prev):
-                    acc += prev[r]
-                row.append(acc)
+                if r - 10 >= base:
+                    acc -= rotate(prev[r - 10 - base], 10 * p % s)
+                if r - base < len(prev):
+                    acc += prev[r - base]
+                if r >= lo[m]:
+                    row.append(acc)
             f.append(row)
         prefix_sum = prefix_mod = 0
         for i, t in enumerate(digits):
@@ -210,7 +221,7 @@ def _niven_count(max_value: int) -> int:
             row = f[m]
             scale = pow(10, m, s)
             for d in range(t):
-                r = s - prefix_sum - d
+                r = s - prefix_sum - d - lo[m]
                 if 0 <= r < len(row):
                     need = -(prefix_mod * 10 + d) * scale % s
                     count += row[r] >> (width * need) & lane
@@ -240,29 +251,47 @@ def _arrangements_upto(m: DigitMultiset, top: str) -> int:
     return below + 1  # top itself
 
 
+def _pinn_histogram(n: int) -> Counter[int]:
+    """The PINN values of width at most n, counted by digit sum in closed
+    form (README, "Counting").
+
+    A core of width w padded to width k has orbit_size * C(k - 1, w - 1)
+    values, which sum to orbit_size * C(n, w) over k <= n.  Each extra has
+    orbit_size values, and each repdigit a_(k) with k in S one.
+    """
+    histogram: Counter[int] = Counter()
+    for cores in map(_parsed, GROUP_CORES):
+        for m in cores:
+            histogram[m.digit_sum] += m.orbit_size * comb(n, m.k)
+    for w, extras in ZERO_FREE_EXTRAS.items():
+        if w <= n:
+            for m in _parsed(extras):
+                histogram[m.digit_sum] += m.orbit_size
+    # the repdigits of widths 1, 3 and 9 are cores
+    for k in range(10, n + 1):
+        if pow(10, k, 9 * k) == 1:
+            for a in range(1, 10):
+                histogram[a * k] += 1
+    return histogram
+
+
 def census(max_value: int) -> CensusResult:
     """Count PINNs and Niven numbers in [1, max_value], with the PINN
     digit-sum histogram.
 
-    Niven numbers come from ``_niven_count``'s digit DP.  PINNs come from
-    the search at each width: every value of each class below max_value's
-    width, and at that width the arrangements up to max_value.
+    Niven numbers come from ``_niven_count``'s digit DP.  The PINNs below
+    max_value's width L come from the closed form of ``_pinn_histogram``;
+    at width L the search lists the classes and ``_arrangements_upto``
+    ranks each one's arrangements up to max_value.
     """
     if not 1 <= max_value <= CENSUS_MAX:
         raise ValueError(f"census covers 1..{CENSUS_MAX}")
     top = str(max_value)
-    top_k = len(top)
-    pinn_count = 0
-    histogram: Counter[int] = Counter()
-    for k in range(1, top_k + 1):
-        report = search(SearchConfig(k=k))
-        for rec in report.records:
-            m = rec.multiset
-            n_values = m.value_count if k < top_k else _arrangements_upto(m, top)
-            pinn_count += n_values
-            histogram[m.digit_sum] += n_values
+    histogram = _pinn_histogram(len(top) - 1)
+    for rec in search(SearchConfig(k=len(top))).records:
+        histogram[rec.multiset.digit_sum] += _arrangements_upto(rec.multiset, top)
     return CensusResult(
-        pinn_count=pinn_count,
+        pinn_count=sum(histogram.values()),
         niven_count=_niven_count(max_value),
         digit_sum_histogram={s: c for s, c in sorted(histogram.items()) if c},
     )

@@ -78,19 +78,6 @@ ZERO_FREE_K10_TO_K14 = {
          "888882222222"),
 }
 
-# Every zero-free non-repdigit PINN class that is not a core of GROUP_CORES:
-# the two sets above and 13 more, in run-compressed notation.  There is no
-# other at any width (test_search.py::test_classification_theorem).
-ZERO_FREE_EXTRAS = {
-    **CATALOG_OMISSIONS,
-    **ZERO_FREE_K10_TO_K14,
-    15: ("4_(4)1_(11)", "7441_(12)", "771_(13)", "8_(4)2_(11)"),
-    18: ("4441_(15)", "741_(16)", "8882_(15)"),
-    21: ("441_(19)", "71_(20)", "882_(19)"),
-    24: ("41_(23)", "82_(23)"),
-    42: ("8881_(39)",),
-}
-
 
 def test_criterion_04_catalog_reproduction_k5_to_k9():
     t0 = time.perf_counter()

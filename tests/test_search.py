@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from permniven.catalogs import GROUP_CORES, NN2_VALUES
+from permniven.catalogs import GROUP_CORES, NN2_VALUES, ZERO_FREE_EXTRAS
 from permniven.digits import DigitMultiset, multiset_count, parse_number
 from permniven.orbits import decide_pinn, is_pinn_bruteforce, is_pinn_criterion, orbit
 from permniven.search import (
@@ -20,11 +21,12 @@ from permniven.search import (
     SearchConfig,
     SearchReport,
     _arrangements_upto,
+    _pinn_histogram,
     census,
     report_values,
     search,
 )
-from test_acceptance import ZERO_FREE_EXTRAS
+from test_acceptance import CATALOG_OMISSIONS, ZERO_FREE_K10_TO_K14
 
 # Fresh-search class counts per width.  The k=6 and k=9 values exceed the
 # stored catalog tables by 6 and 7 classes respectively.
@@ -258,6 +260,9 @@ def test_classification_theorem():
     cores = _classes(c for group in GROUP_CORES for c in group)
     extras = _classes(c for group in ZERO_FREE_EXTRAS.values() for c in group)
     assert len(set(cores)) == 87 and len(set(extras)) == len(extras) == 31
+    # the classes pinned by acceptance criteria 4 and 5 are in the table
+    pinned = {**CATALOG_OMISSIONS, **ZERO_FREE_K10_TO_K14}
+    assert all(set(_classes(pinned[w])) <= set(_classes(ZERO_FREE_EXTRAS[w])) for w in pinned)
 
     # 1. A zero-free class wider than 81 has a digit sum above 81 and so is
     # a repdigit.  Up to width 81 the scan finds 91 others: the 60 cores
@@ -309,6 +314,51 @@ def test_census_counts():
     assert census(10**4 - 1).pinn_count == sum(PER_K_VALUE_COUNTS[:4])
 
 
+def _width_histogram(k: int) -> Counter[int]:
+    """The k-digit PINN values by digit sum, from the search at width k."""
+    histogram: Counter[int] = Counter()
+    for rec in search(SearchConfig(k=k)).records:
+        histogram[rec.multiset.digit_sum] += rec.multiset.value_count
+    return histogram
+
+
+def test_closed_form_counts_each_width_as_the_search_does():
+    # count(k) - count(k - 1) is the search's value count at width k, digit
+    # sum by digit sum, through the repdigit widths 27, 81, 111 and 243
+    assert _pinn_histogram(0) == Counter()
+    previous = Counter()
+    for k in range(1, 301):
+        current = _pinn_histogram(k)
+        assert current - previous == _width_histogram(k), k
+        previous = current
+    assert sum(_pinn_histogram(18).values()) == 10537248  # the PINNs below 10^18
+
+
+def test_census_pinns_match_a_search_at_every_width(monkeypatch):
+    # The reference route: a search at every width below the bound's, each
+    # class counted with all its values, and at the bound's width the
+    # arrangements up to the bound.  The census takes the widths below from
+    # the closed form; its Niven DP is not under test here.
+    monkeypatch.setitem(census.__globals__, "_niven_count", lambda max_value: 0)
+    below = [Counter()]
+    for k in range(1, 20):
+        below.append(below[-1] + _width_histogram(k))
+
+    def reference(max_value: int) -> tuple[int, dict[int, int]]:
+        top = str(max_value)
+        histogram = below[len(top) - 1].copy()
+        for rec in search(SearchConfig(k=len(top))).records:
+            histogram[rec.multiset.digit_sum] += _arrangements_upto(rec.multiset, top)
+        return sum(histogram.values()), {s: c for s, c in sorted(histogram.items()) if c}
+
+    rng = random.Random(71)
+    bounds = [b for n in range(1, 19) for b in (10**n - 1, 10**n)]
+    bounds += [1000000, 3456789] + [rng.randrange(1, CENSUS_MAX + 1) for _ in range(20)]
+    for b in bounds:
+        result = census(b)
+        assert (result.pinn_count, result.digit_sum_histogram) == reference(b), b
+
+
 def brute_niven_counts(bounds) -> dict[int, int]:
     """Reference: Niven numbers in [1, b] for each bound b, by one walk over
     every integer up to the largest."""
@@ -335,6 +385,9 @@ def test_census_niven_count_against_bruteforce():
     rng = random.Random(61)
     small = [9, 100, 2500, 9999]
     bounds = small + [rng.randrange(1, 10**6 + 1) for _ in range(12)] + [3456789, 10**7]
+    # the DP keeps each row only from the lowest digit sum the walk can
+    # read; prefixes of nines make the walk read the lowest kept ones
+    bounds += [999999, 1999999, 8999999, 9899999, 9999999]
     brute = brute_niven_counts(bounds)
     for b in small:
         assert brute[b] == sum(
