@@ -20,9 +20,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from math import prod
+from math import gcd, prod
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .digits import digit_sum_of, parse_number, value_mod
 from .numtheory import probable_prime
@@ -82,9 +82,11 @@ GRID_BIT_CAP = 4096
 
 # verify_conjecture_grid refuses bounds with more ladder tuples.  The
 # 41637 tuples of n=12, alpha=beta=3, gamma1=gamma2=2 and each delta 1 take
-# 3.7 s to check and 1.2 s to print as JSON, at a peak RSS of 154 MB
+# 0.4 s to check and 0.5-0.7 s to write as JSON, at a peak RSS of 82 MB
 # (2 cores, Python 3.11).  Uniform bounds of 3 give 277 tuples, of 4
-# already 1953781.
+# already 1953781.  The cap bounds the count, not the cost: n=49999 gives
+# 50000 tuples, 2046 of them under the bit cap, and takes 65 s, nearly all
+# of it in pow(10, 3^n, 3^(n+2)), whose exponent no reduction shrinks.
 GRID_MAX_TUPLES = 50_000
 
 # Primes reported among repdigit-PINN divisors, in ascending order.  Each
@@ -159,23 +161,17 @@ class ConjectureConstraints:
 _exponents = attrgetter(*CONJECTURE_PRIMES)
 
 
-def modpow10(k: ConjectureConstraints | int | Sequence[int], m: int) -> int:
-    """10^k mod m, raising 10 to one prime power of a factored k at a time.
-
-    A factored k is a ConjectureConstraints or the sequence of its prime
-    powers p**e, whose product is k.
-    """
+def modpow10(k: ConjectureConstraints | int, m: int) -> int:
+    """10^k mod m, raising 10 to one prime power of a factored k at a time."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if isinstance(k, int):
         if k < 0:
             raise ValueError("exponent must be non-negative")
         return pow(10, k, m)
-    if isinstance(k, ConjectureConstraints):
-        k = [p**e for p, e in k.factors]
     r = 10 % m
-    for q in k:
-        r = pow(r, q, m)
+    for p, e in k.factors:
+        r = pow(r, p**e, m)
     return r
 
 
@@ -236,16 +232,31 @@ def _minimal_violations() -> list[ConjectureConstraints]:
     ]
 
 
-def _grid_entry(
-    exponents: ConjectureConstraints, prime_powers: Sequence[int], expected: bool
-) -> GridEntry:
-    m = 9 * prod(prime_powers)
-    return GridEntry(
-        exponents=exponents,
-        modulus_bits=m.bit_length(),
-        exact=modpow10(prime_powers, m) == 1,
-        expected=expected,
-    )
+def _prime_power_of_9k(p: int, e: int) -> tuple[int, int]:
+    """The power q of p in 9k when p^e is the power of p in k, and phi(q)."""
+    q = p ** (e + 2 if p == 3 else e)
+    return q, q - q // p
+
+
+def _is_exact(k: int, parts: Iterable[tuple[int, int]], memo: dict) -> bool:
+    """10^k == 1 (mod 9k)?  parts: each prime power q of 9k with phi(q), or
+    (1, 1) for a parameter prime that does not divide k.
+
+    ord_q(10) divides phi(q), so 10^k == 1 (mod q) iff 10^g == 1 (mod q),
+    g = gcd(k, phi(q)); memo holds that verdict per (q, g).  A "yes" is
+    sound whatever phi is, as g divides k; a "no" is decided again by pow
+    with k itself, so no "no" rests on phi.
+    """
+    for q, phi in parts:
+        if q == 1:
+            continue
+        key = (q, gcd(k, phi))
+        ok = memo.get(key)
+        if ok is None:
+            ok = memo[key] = pow(10, key[1], q) == 1
+        if not ok:
+            return pow(10, k, 9 * k) == 1
+    return True
 
 
 def _ladder_bounds(bounds: ConjectureConstraints, n: int) -> list[int]:
@@ -277,8 +288,11 @@ def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridR
     ladder violations (n one below each parameter's floor) must fail it.
     Only ladder tuples are visited: for each n, the product over the
     parameters the ladder allows, the others fixed at 0, which keeps the
-    order of the full product.  Tuples whose modulus may exceed
-    GRID_BIT_CAP bits are counted as skipped, never passed silently.
+    order of the full product.  _is_exact decides each tuple one prime power
+    q of 9k at a time, its exponent reduced to gcd(k, phi(q)) and memoized
+    for this call only; every "no" is pow(10, k, 9k) itself.  Tuples whose
+    modulus may exceed GRID_BIT_CAP bits are counted as skipped, never
+    passed silently.
     Raises OverflowError, before any work, when more than GRID_MAX_TUPLES
     tuples satisfy the ladder.
     """
@@ -290,17 +304,19 @@ def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridR
             f"the grid has {count} ladder tuples, above the {GRID_MAX_TUPLES}-tuple cap"
         )
     t0 = time.monotonic()
-    # Per parameter and exponent e it can take: (e, p**e, e * bits of p), the
-    # bits summing to bit_estimate - 1.  p**e is left out (None) where its
-    # bits alone put 9k over the cap, as every tuple holding it is skipped.
+    # Per parameter and exponent e it can take: (e, p**e, the power of p in 9k
+    # with its phi, e * bits of p), the bits summing to bit_estimate - 1.  The
+    # powers are None where their bits alone put 9k over the cap.
     table = []
     reach = [bounds.n] + _ladder_bounds(bounds, bounds.n)
     for p, bound in zip(CONJECTURE_PRIMES.values(), reach):
         bits = p.bit_length()
         table.append([
-            (e, p**e if e * bits + 5 <= GRID_BIT_CAP else None, e * bits)
+            (e, p**e, _prime_power_of_9k(p, e), e * bits)
+            if e * bits + 5 <= GRID_BIT_CAP else (e, None, None, e * bits)
             for e in range(bound + 1)
         ])
+    memo: dict[tuple[int, int], bool] = {}
     entries = []
     skipped = 0
     for n in range(bounds.n + 1):
@@ -309,18 +325,17 @@ def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridR
             for column, bound in zip(table[1:], _ladder_bounds(bounds, n))
         ]
         for combo in product(*axes):
-            exponents, powers, bits = zip(*combo)
+            exponents, powers, parts, bits = zip(*combo)
             # bit_estimate + 4 bounds the bit length of 9k from above
             if sum(bits) + 1 + 4 > GRID_BIT_CAP:
                 skipped += 1
                 continue
-            entries.append(_grid_entry(
-                ConjectureConstraints(*exponents), [q for q in powers if q > 1], expected=True
-            ))
-    entries.extend(
-        _grid_entry(exp, [p**e for p, e in exp.factors], expected=False)
-        for exp in _minimal_violations()
-    )
+            k = prod(powers)
+            entries.append(GridEntry(ConjectureConstraints(*exponents),
+                                     (9 * k).bit_length(), _is_exact(k, parts, memo), True))
+    for exp in _minimal_violations():
+        k, parts = exp.k, map(_prime_power_of_9k, CONJECTURE_PRIMES.values(), exp.as_tuple())
+        entries.append(GridEntry(exp, (9 * k).bit_length(), _is_exact(k, parts, memo), False))
     return GridReport(
         bounds=bounds,
         bit_cap=GRID_BIT_CAP,

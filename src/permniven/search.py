@@ -36,6 +36,7 @@ from .catalogs import GROUP_CORES, ZERO_FREE_EXTRAS
 from .digits import DigitMultiset, multiset_count
 from .families import _parsed
 from .orbits import _MAX_CLASS_SUM, PinnRecord, class_modulus, is_pinn_criterion, orbit
+from .repdigits import exact_condition_sweep
 
 __all__ = [
     "CENSUS_MAX",
@@ -257,7 +258,8 @@ def _pinn_histogram(n: int) -> Counter[int]:
 
     A core of width w padded to width k has orbit_size * C(k - 1, w - 1)
     values, which sum to orbit_size * C(n, w) over k <= n.  Each extra has
-    orbit_size values, and each repdigit a_(k) with k in S one.
+    orbit_size values, and each repdigit a_(k) with k in S one, S being the
+    widths of exact_condition_sweep(n).
     """
     histogram: Counter[int] = Counter()
     for cores in map(_parsed, GROUP_CORES):
@@ -268,8 +270,8 @@ def _pinn_histogram(n: int) -> Counter[int]:
             for m in _parsed(extras):
                 histogram[m.digit_sum] += m.orbit_size
     # the repdigits of widths 1, 3 and 9 are cores
-    for k in range(10, n + 1):
-        if pow(10, k, 9 * k) == 1:
+    for k in exact_condition_sweep(n):
+        if k > 9:
             for a in range(1, 10):
                 histogram[a * k] += 1
     return histogram

@@ -154,32 +154,35 @@ def test_grid_default_bounds_pass():
 
 def reference_grid(bounds):
     """The grid by the plain route: every tuple within bounds, filtered by
-    the ladder, decided by pow with k itself as the exponent; then the nine
-    minimal violations.  Returns (entries, skipped_over_cap)."""
+    ladder floors of its own, decided by pow with k itself as the exponent;
+    then the nine minimal violations.  Returns (entries, skipped_over_cap)."""
+    # each parameter with ord_p(10) = 3^j is allowed from n = j on
+    names = list(CONJECTURE_PRIMES)[1:]
+    floors = [
+        round(math.log(multiplicative_order(10, CONJECTURE_PRIMES[name]), 3))
+        for name in names
+    ]
     entries = []
     skipped = 0
     for combo in product(*(range(e + 1) for e in bounds.as_tuple())):
-        exp = ConjectureConstraints(*combo)
-        if not exp.satisfies_ladder():
+        n = combo[0]
+        if any(e and n < floor_n for e, floor_n in zip(combo[1:], floors)):
             continue
+        exp = ConjectureConstraints(*combo)
         if exp.bit_estimate + 4 > repdigits.GRID_BIT_CAP:
             skipped += 1
             continue
         m = 9 * exp.k
         entries.append((combo, m.bit_length(), pow(10, exp.k, m) == 1, True))
-    # each parameter with ord_p(10) = 3^j is allowed from n = j on
-    for name, p in CONJECTURE_PRIMES.items():
-        if name == "n":
-            continue
-        floor_n = round(math.log(multiplicative_order(10, p), 3))
+    for name, floor_n in zip(names, floors):
         exp = ConjectureConstraints(n=floor_n - 1, **{name: 1})
         m = 9 * exp.k
         entries.append((exp.as_tuple(), m.bit_length(), pow(10, exp.k, m) == 1, False))
     return entries, skipped
 
 
-# The reference builds every one of the 4^10 tuples of uniform bounds 3,
-# about 6 s, so the lowered caps run on the default bounds only.
+# The reference visits every one of the 4^10 tuples of uniform bounds 3,
+# about 1.5 s, so the lowered caps run on the default bounds only.
 GRID_CASES = {
     **{f"uniform{e}": (ConjectureConstraints(*[e] * 10), None) for e in range(4)},
     "default": (DEFAULT_GRID_BOUNDS, None),
@@ -202,6 +205,29 @@ def test_grid_matches_the_plain_reference(monkeypatch, bounds, bit_cap):
     assert report.bit_cap == repdigits.GRID_BIT_CAP
     if bit_cap is not None:
         assert skipped > 0
+
+
+def test_grid_decides_every_no_by_the_plain_pow(monkeypatch):
+    # With the exponent reduction faked to gcd 1, every prime power of 9k
+    # but 9 says "no", so every verdict but k = 1's is the plain
+    # pow(10, k, 9k), and the grid still matches the reference.
+    monkeypatch.setattr(repdigits, "gcd", lambda k, phi: 1)
+    plain = []
+
+    def counting_pow(base, exp, mod):
+        # the reduced checks raise 10 to the first power only
+        if exp > 1 and mod == 9 * exp:
+            plain.append(exp)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(repdigits, "pow", counting_pow, raising=False)
+    report = verify_conjecture_grid()
+    entries, _ = reference_grid(DEFAULT_GRID_BOUNDS)
+    assert [
+        (e.exponents.as_tuple(), e.modulus_bits, e.exact, e.expected)
+        for e in report.entries
+    ] == entries
+    assert sorted(plain) == sorted(e.exponents.k for e in report.entries)[1:]
 
 
 def test_grid_refuses_too_many_ladder_tuples():
