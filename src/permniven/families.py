@@ -12,9 +12,9 @@ padding helper over cores parsed once.
 verify_family re-proves the claim instance by instance instead of trusting
 it, with ``orbits.decide_pinn``, the rule ``check`` also uses: two deciders
 that share no reasoning, the congruence criterion, O(pairs + 10 log k),
-and the residue-counting DP on the member with its zeros capped at six,
-whose table is the same at every k >= core width + 6.  Nothing in the
-code caps k.
+and the residue-counting DP on the member with its zeros capped at
+max(1, v2(s), v5(s)) <= 6 for digit sum s, whose table is the same at
+every k >= core width + 6.  Nothing in the code caps k.
 """
 from __future__ import annotations
 

@@ -22,8 +22,8 @@ its own reasoning:
 ``decide_pinn``, the verdict rule of ``check`` and ``families --verify``,
 runs the criterion and puts a second decider behind every "yes": the
 closed form 10^k == 1 (mod 9k) for a repdigit, and otherwise the DP on the
-multiset with its zeros capped at six, whose table then does not grow
-with the width.
+multiset with its zeros capped at max(1, v2(s), v5(s)) for digit sum s,
+at most six, whose table then does not grow with the width.
 """
 from __future__ import annotations
 
@@ -56,7 +56,6 @@ DEFAULT_ORBIT_BUDGET = 10**7
 # A PINN with two distinct digits has digit sum s <= 81 (see decide_pinn),
 # so 2^6 and 5^2 bound the powers of 2 and 5 in s that zeros can meet.
 _MAX_CLASS_SUM = 81
-_ZERO_CAP = 6
 
 
 class BudgetExceeded(Exception):
@@ -190,18 +189,19 @@ def is_pinn_residue_count(
     of digit counts still unused plus the residue mod s of what the digits
     placed so far add to the value; with u digits unused, placing d adds
     d * 10^(u-1).  Each state holds how many prefixes reach it with each
-    residue.  m is a PINN iff all orbit_size arrangements end at residue 0.
-    Otherwise the table is walked back from a non-zero final residue, which
+    residue.  m is a PINN iff all orbit_size arrangements end at residue 0,
+    which one comparison of the final packed counts decides.  Otherwise the table is walked back from a non-zero final residue, which
     yields an arrangement with that residue as the witness.  Raises
     BudgetExceeded when ``residue_table_size(m)`` exceeds the budget.
     """
-    size = residue_table_size(m)
-    if size > budget:
-        raise BudgetExceeded(f"residue table {size} exceeds budget {budget}")
     s = m.digit_sum
     orbit_size = m.orbit_size
     digits = m.present_digits[::-1]
     radices = [m.counts[d] + 1 for d in digits]
+    top = prod(radices) - 1
+    size = (top + 1) * s
+    if size > budget:
+        raise BudgetExceeded(f"residue table {size} exceeds budget {budget}")
     strides = [prod(radices[i + 1:]) for i in range(len(digits))]
     powers = [pow(10, e, s) for e in range(m.k)]
     # The unused counts index the states in mixed radix, the first digit
@@ -211,19 +211,20 @@ def is_pinn_residue_count(
     # residue: adding d * 10^(u-1) rotates the slots, and no count exceeds
     # the orbit size.
     width = orbit_size.bit_length()
-    low = [(1 << (width * j)) - 1 for j in range(s + 1)]
     # levels[u - 1]: each digit's rotation by a = d * 10^(u-1) mod s as
-    # (mask, left shift, right shift), one list per distinct power of ten.
+    # (mask, left shift, right shift), or None when a = 0 and the slots
+    # stay put (the zero digit, or d * 10^(u-1) divisible by s); one list
+    # per distinct power of ten.
     rotations = {
-        p: [(low[s - a], width * a, width * (s - a)) for a in (d * p % s for d in digits)]
+        p: [((1 << width * (s - a)) - 1, width * a, width * (s - a)) if a else None
+            for a in (d * p % s for d in digits)]
         for p in set(powers)
     }
     levels = [rotations[p] for p in powers]
-    top = prod(radices) - 1
     table = [0] * (top + 1)
     table[top] = 1
-    # The last digit (the smallest, often the many zeros) varies fastest, so
-    # the other digits that can still be placed are fixed across its loop.
+    # The last digit (the smallest, often the zeros) varies fastest, so the
+    # other digits that can still be placed are fixed across its loop.
     *heads, last = radices
     idx = top + 1
     for head in product(*(range(c - 1, -1, -1) for c in heads)):
@@ -235,13 +236,19 @@ def is_pinn_residue_count(
             packed = table[idx]
             level = levels[base + u - 1]
             for j, stride in with_last if u else placeable:
-                mask, left, right = level[j]
-                table[idx - stride] += ((packed & mask) << left) | (packed >> right)
-    counts = [table[0] >> (width * r) & low[1] for r in range(s)]
+                if rotation := level[j]:
+                    mask, left, right = rotation
+                    table[idx - stride] += ((packed & mask) << left) | (packed >> right)
+                else:
+                    table[idx - stride] += packed
+    # Slot 0 holds every arrangement and the others none exactly when the
+    # packed int equals orbit_size, which fits in slot 0's `width` bits.
+    if table[0] == orbit_size:
+        return True, None
+    slot = (1 << width) - 1
+    counts = [table[0] >> (width * r) & slot for r in range(s)]
     if sum(counts) != orbit_size:
         raise ArithmeticError(f"residue counts sum to {sum(counts)}, not {orbit_size}")
-    if counts[0] == orbit_size:
-        return True, None
     residue = next(r for r in range(1, s) if counts[r])
     placed = []
     idx, r = 0, residue
@@ -252,7 +259,7 @@ def is_pinn_residue_count(
             prev = (r - d * power) % s
             # d was placed last if a copy of it is used and the state with
             # that copy unused reaches the residue before it
-            if u < radix - 1 and table[idx + stride] >> (width * prev) & low[1]:
+            if u < radix - 1 and table[idx + stride] >> (width * prev) & slot:
                 placed.append(str(d))
                 idx, r = idx + stride, prev
                 break
@@ -270,16 +277,18 @@ def decide_pinn(m: DigitMultiset) -> tuple[bool, CriterionProof | FailureWitness
       criterion's residue; no arrangement can show a disagreement, so one
       raises ArithmeticError;
     * for any other class, the residue-counting DP (residue_counted True)
-      on m with its zeros capped at six.  By the criterion's theorem, m is
-      a PINN iff its digits agree mod T = s / gcd(s, 9), which does not
-      involve the zeros, and s divides N * 10^z, N the canonical
-      arrangement of the nonzero digits and z the zeros.  Two distinct
-      digits that agree mod T differ by a multiple of T, so T <= 9 and
-      s <= 81, which holds at most 2^6 and 5^2: every z >= 6 gives the
-      verdict of z = 6 (the README's zero reduction).  A DP witness lifts
-      back to m with the removed zeros in front, which keep its value.  A
-      digit sum above 81 would contradict the criterion, so then nothing
-      is capped.
+      on m with its zeros capped at c(s) = max(1, v2(s), v5(s)), v_p the
+      power of p in s.  By the criterion's theorem, m is a PINN iff its
+      present digits agree mod T = s / gcd(s, 9), which does not involve
+      how many zeros there are, and s divides N * 10^z, N the canonical
+      arrangement of the nonzero digits and z the zeros.  Since
+      gcd(s, 10^z) = gcd(s, 10^c) for every z >= c, every z >= c gives
+      the verdict of z = c (the README's zero reduction); c >= 1 keeps 0
+      a present digit, so (a) still sees it.  Two distinct digits that
+      agree mod T differ by a multiple of T, so T <= 9 and s <= 81, where
+      c <= 6.  A DP witness lifts back to m with the removed zeros in
+      front, which keep its value.  A digit sum above 81 would contradict
+      the criterion, so then nothing is capped.
 
     A "no" carries a witness, found from the runs in O(10 log k) and only
     then written out: the canonical arrangement when its residue is the
@@ -301,8 +310,10 @@ def decide_pinn(m: DigitMultiset) -> tuple[bool, CriterionProof | FailureWitness
                 )
             return True, proof, False
         zeros = m.counts[0]
-        if m.digit_sum <= _MAX_CLASS_SUM:
-            zeros = min(zeros, _ZERO_CAP)
+        s = m.digit_sum
+        if s <= _MAX_CLASS_SUM:
+            # c(s): s & -s is 2^v2(s), and v5(s) <= 2 since 5^3 > 81
+            zeros = min(zeros, max(1, (s & -s).bit_length() - 1, (s % 5 == 0) + (s % 25 == 0)))
         dp_ok, witness = is_pinn_residue_count(DigitMultiset((zeros, *m.counts[1:])))
         if dp_ok:
             return True, proof, True

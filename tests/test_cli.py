@@ -88,8 +88,8 @@ def test_check_repdigit_is_cross_checked_by_the_closed_form(capsys):
 
 
 def test_check_cross_checks_a_wide_zero_padded_pinn(capsys):
-    # the DP runs with the zeros capped at six, so its table is small at
-    # any width
+    # the DP runs with the zeros capped at max(1, v2(s), v5(s)) <= 6, so
+    # its table is small at any width
     assert run(["check", "24480_(100000)", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["is_pinn"] and obj["proof"]["residue_counted"] is True

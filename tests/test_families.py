@@ -79,8 +79,8 @@ def test_catalog_holds_the_groups_that_fit(k):
 
 @pytest.mark.parametrize("k", [10, 11, 13, 17, 2000])
 def test_every_family_member_verifies(k):
-    # the DP sees each member with at most six zeros, so k = 2000 costs
-    # what k = 17 does
+    # the DP sees each member with at most max(1, v2(s), v5(s)) <= 6
+    # zeros, so k = 2000 costs what k = 17 does
     for fid in FAMILY_IDS:
         inst = instantiate(fid, k)
         for m, ok, _proof in verify_family(inst):

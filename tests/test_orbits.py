@@ -243,17 +243,61 @@ def test_decide_pinn_trusts_no_single_decider(monkeypatch):
         decide_pinn(DigitMultiset.from_string("2448"))
 
 
-def test_residue_count_ignores_zeros_past_six():
+def zero_cap(s: int) -> int:
+    """c(s) = max(1, v2(s), v5(s)), the exponents counted by division."""
+    v2 = v5 = 0
+    while s % 2 ** (v2 + 1) == 0:
+        v2 += 1
+    while s % 5 ** (v5 + 1) == 0:
+        v5 += 1
+    return max(1, v2, v5)
+
+
+def test_residue_count_gives_the_verdict_of_the_zero_cap():
     # the zero reduction behind decide_pinn's cap, tested on the DP alone:
-    # every core with 7..60 zeros gets the verdict of six zeros, and so do
-    # two zero-free PINNs that any zero breaks (0 and 2, 0 and 1 differ mod 3)
+    # every core with z = 1..60 zeros gets the verdict of min(z, c(s))
+    # zeros, and so do two zero-free PINNs that any zero breaks (0 and 2,
+    # 0 and 1 differ mod 3)
     cores = [core for group in GROUP_CORES for core in group]
     for core in cores + ["555552", "444444111"]:
         m = DigitMultiset.from_string(parse_number(core))
-        capped = is_pinn_residue_count(m.with_zeros(6))[0]
-        assert capped == (core in cores), core
-        for z in range(7, 61):
-            assert is_pinn_residue_count(m.with_zeros(z))[0] == capped, (core, z)
+        cap = zero_cap(m.digit_sum)
+        verdicts = {z: is_pinn_residue_count(m.with_zeros(z))[0] for z in range(1, 61)}
+        for z, verdict in verdicts.items():
+            assert verdict == verdicts[min(z, cap)] == (core in cores), (core, z)
+
+
+def test_decide_pinn_hands_the_dp_c_of_s_zeros(monkeypatch):
+    import permniven.orbits as orbits
+
+    seen = []
+
+    def spy(m, budget=orbits.DEFAULT_ORBIT_BUDGET):
+        seen.append(m.counts[0])
+        return is_pinn_residue_count(m, budget)
+
+    monkeypatch.setattr(orbits, "is_pinn_residue_count", spy)
+    # s = 4 and s = 8 keep v2(s) zeros, s = 18 keeps the one zero that
+    # leaves 0 a present digit
+    for text, s, cap in [("40_(40)", 4, 2), ("80_(40)", 8, 3), ("24480_(40)", 18, 1)]:
+        m = DigitMultiset.from_string(parse_number(text))
+        assert m.digit_sum == s and zero_cap(s) == cap
+        seen.clear()
+        assert decide_pinn(m)[::2] == (True, True)
+        assert seen == [cap], text
+
+    # 555552 is a PINN and 5555520 is not: against a criterion that accepts
+    # everything, one zero reaches the DP and its witness lifts to full width
+    monkeypatch.setattr(orbits, "is_pinn_criterion", says_pinn)
+    m = DigitMultiset.from_string(parse_number("5555520_(9)"))
+    seen.clear()
+    ok, witness, residue_counted = decide_pinn(m)
+    assert not ok and residue_counted and seen == [1]
+    assert_is_witness(m, witness)
+
+    # a digit sum above 81 is still not capped, so the table guard trips
+    with pytest.raises(BudgetExceeded):
+        decide_pinn(DigitMultiset.from_string(parse_number("1_(200)20_(200)")))
 
 
 @st.composite
