@@ -60,7 +60,6 @@ from .repdigits import (
     RepdigitCheck,
     ZeroInsertionProbe,
     exact_condition_sweep,
-    modpow10,
     repdigit_niven_check,
     verify_conjecture_grid,
     zero_insertion_probe,
@@ -123,7 +122,6 @@ __all__ = [
     "is_pinn_criterion",
     "is_pinn_residue_count",
     "jacobi",
-    "modpow10",
     "multiplicative_order",
     "multiset_count",
     "orbit",

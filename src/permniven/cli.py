@@ -40,6 +40,7 @@ from .families import catalog as reference_catalog
 from .numtheory import FactorizationTimeout, NotCoprime, multiplicative_order
 from .orbits import BudgetExceeded, decide_pinn
 from .repdigits import (
+    CONJECTURE_PRIMES,
     DEFAULT_GRID_BOUNDS,
     ConjectureConstraints,
     exact_condition_sweep,
@@ -243,6 +244,14 @@ def _factored_str(cons: ConjectureConstraints) -> str:
 
 
 def _cmd_repdigit(ns: argparse.Namespace) -> int:
+    # a flag the chosen mode would ignore is refused, not dropped
+    point_flags = [
+        f"--{name}" for name in ("a", *CONJECTURE_PRIMES) if getattr(ns, name) is not None
+    ]
+    if point_flags and (ns.grid or ns.sweep is not None):
+        raise UsageError(f"{', '.join(point_flags)}: not allowed with --grid or --sweep")
+    if ns.max_exp is not None and not ns.grid:
+        raise UsageError("--max-exp: allowed only with --grid")
     if ns.sweep is not None:
         if ns.sweep < 1:
             raise UsageError("--sweep LIMIT must be >= 1")
@@ -296,22 +305,19 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
         return EXIT_OK if report.all_ok else EXIT_VERIFICATION
 
     _require_format(ns.format, "text", "json")
-    if not 1 <= ns.a <= 9:
+    a = 1 if ns.a is None else ns.a
+    if not 1 <= a <= 9:
         raise UsageError("--a must be a digit 1..9")
     with _user_input():
-        cons = ConjectureConstraints(
-            n=ns.n, alpha=ns.alpha, beta=ns.beta, gamma1=ns.gamma1, gamma2=ns.gamma2,
-            delta1=ns.delta1, delta2=ns.delta2, delta3=ns.delta3, delta4=ns.delta4,
-            delta5=ns.delta5,
-        )
+        cons = ConjectureConstraints(*(getattr(ns, name) or 0 for name in CONJECTURE_PRIMES))
     try:
-        chk = repdigit_niven_check(ns.a, cons)
+        chk = repdigit_niven_check(a, cons)
     except OverflowError as exc:  # k above K_BIT_CAP, refused before any work
         raise UsageError(str(exc)) from exc
     k_value = cons.k
     if ns.format == "json":
         obj = {
-            "a": ns.a,
+            "a": a,
             "k_factored": _factored_str(cons),
             "k": k_value,
             "k_bits": cons.bit_estimate,
@@ -326,9 +332,9 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
         print(f"k = {_factored_str(cons)}{shown} ({cons.bit_estimate} bits)")
         print(f"ladder satisfied: {cons.satisfies_ladder()}")
         print(f"exact condition 10^k = 1 (mod 9k): {chk.exact}")
-        print(f"strict condition 10^k = 1 (mod 9ka), a={ns.a}: {chk.strict}")
+        print(f"strict condition 10^k = 1 (mod 9ka), a={a}: {chk.strict}")
         verdict = "is" if chk.exact else "is not"
-        print(f"the k-digit repdigit of {ns.a}s {verdict} a Niven number")
+        print(f"the k-digit repdigit of {a}s {verdict} a Niven number")
     return EXIT_OK if chk.exact else EXIT_VERIFICATION
 
 
@@ -453,15 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("repdigit", help="repdigit Niven conditions and the exponent grid")
-    p.add_argument("--a", type=int, default=1, help="repeated digit (default 1)")
-    for name in ("n", "alpha", "beta", "gamma1", "gamma2",
-                 "delta1", "delta2", "delta3", "delta4", "delta5"):
-        p.add_argument(f"--{name}", type=int, default=0, help=f"exponent {name}")
-    p.add_argument("--grid", action="store_true", help="sweep the exponent grid")
+    p.add_argument("--a", type=int, help="repeated digit (default 1)")
+    for name in CONJECTURE_PRIMES:
+        p.add_argument(f"--{name}", type=int, help=f"exponent {name} (default 0)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--grid", action="store_true", help="sweep the exponent grid")
+    mode.add_argument("--sweep", type=int, default=None, metavar="LIMIT",
+                      help="list every k <= LIMIT satisfying the exact condition")
     p.add_argument("--max-exp", type=int, default=None,
                    help="uniform per-parameter bound for --grid")
-    p.add_argument("--sweep", type=int, default=None, metavar="LIMIT",
-                   help="list every k <= LIMIT satisfying the exact condition")
     _add_common(p, top=False)
     p.set_defaults(func=_cmd_repdigit)
 

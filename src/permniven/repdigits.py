@@ -11,8 +11,11 @@ The solution grid: exponent tuples (n, alpha, beta, gamma1, gamma2,
 delta1..delta5) build k = 3^n * m0^alpha * ... with each parameter's prime
 chosen so its power of 10 has multiplicative order an exact power of 3;
 the ladder constraints (n >= 1 when alpha > 0, and so on) are exactly what
-makes ord(10, 9k) divide k.  verify_conjecture_grid checks both
-directions: ladder-satisfying tuples must pass the exact condition,
+makes ord(10, 9k) divide k.  The README proves it under `repdigit --grid`:
+3^(n+2) divides 10^k - 1 by lifting the exponent, and no other parameter
+prime p has 10^ord_p(10) == 1 (mod p^2), so ord_{p^e}(10) = ord_p(10) *
+p^(e-1).  verify_conjecture_grid checks both directions, one prime power
+of 9k at a time: ladder-satisfying tuples must pass the exact condition,
 minimal ladder violations must fail it.
 """
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, prod
-from operator import attrgetter
-from typing import Iterable, NamedTuple
+from math import prod
+from operator import attrgetter, getitem
+from typing import NamedTuple
 
 from .digits import digit_sum_of, parse_number, value_mod
 from .numtheory import probable_prime
@@ -36,7 +39,6 @@ __all__ = [
     "RepdigitCheck",
     "ZeroInsertionProbe",
     "exact_condition_sweep",
-    "modpow10",
     "repdigit_niven_check",
     "verify_conjecture_grid",
     "zero_insertion_probe",
@@ -80,13 +82,13 @@ SWEEP_LIMIT_CAP = 10**10
 # verify_conjecture_grid skips tuples whose modulus 9k may exceed this many bits
 GRID_BIT_CAP = 4096
 
-# verify_conjecture_grid refuses bounds with more ladder tuples.  The
-# 41637 tuples of n=12, alpha=beta=3, gamma1=gamma2=2 and each delta 1 take
-# 0.4 s to check and 0.5-0.7 s to write as JSON, at a peak RSS of 82 MB
-# (2 cores, Python 3.11).  Uniform bounds of 3 give 277 tuples, of 4
-# already 1953781.  The cap bounds the count, not the cost: n=49999 gives
-# 50000 tuples, 2046 of them under the bit cap, and takes 65 s, nearly all
-# of it in pow(10, 3^n, 3^(n+2)), whose exponent no reduction shrinks.
+# verify_conjecture_grid refuses bounds with more ladder tuples.  A ladder
+# tuple costs a product and no modular power, so the cap bounds the cost as
+# well as the count.  The 41637 tuples of n=12, alpha=beta=3,
+# gamma1=gamma2=2 and each delta 1 take 0.3 s to check and 0.5-0.7 s to
+# write as JSON, at a peak RSS of 82 MB; n=49999 gives 50000 tuples, 2046
+# of them under the bit cap, and takes 0.5-0.6 s (2 cores, Python 3.11).
+# Uniform bounds of 3 give 277 tuples, of 4 already 1953781.
 GRID_MAX_TUPLES = 50_000
 
 # Primes reported among repdigit-PINN divisors, in ascending order.  Each
@@ -161,20 +163,6 @@ class ConjectureConstraints:
 _exponents = attrgetter(*CONJECTURE_PRIMES)
 
 
-def modpow10(k: ConjectureConstraints | int, m: int) -> int:
-    """10^k mod m, raising 10 to one prime power of a factored k at a time."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if isinstance(k, int):
-        if k < 0:
-            raise ValueError("exponent must be non-negative")
-        return pow(10, k, m)
-    r = 10 % m
-    for p, e in k.factors:
-        r = pow(r, p**e, m)
-    return r
-
-
 class RepdigitCheck(NamedTuple):
     strict: bool  # 10^k == 1 (mod 9ka), the commonly quoted form
     exact: bool  # 10^k == 1 (mod 9k), necessary and sufficient
@@ -188,8 +176,8 @@ def repdigit_niven_check(a: int, k: ConjectureConstraints | int) -> RepdigitChec
     if kv < 1:
         raise ValueError("k must be >= 1")
     return RepdigitCheck(
-        strict=modpow10(k, 9 * kv * a) == 1,
-        exact=modpow10(k, 9 * kv) == 1,
+        strict=pow(10, kv, 9 * kv * a) == 1,
+        exact=pow(10, kv, 9 * kv) == 1,
     )
 
 
@@ -232,33 +220,6 @@ def _minimal_violations() -> list[ConjectureConstraints]:
     ]
 
 
-def _prime_power_of_9k(p: int, e: int) -> tuple[int, int]:
-    """The power q of p in 9k when p^e is the power of p in k, and phi(q)."""
-    q = p ** (e + 2 if p == 3 else e)
-    return q, q - q // p
-
-
-def _is_exact(k: int, parts: Iterable[tuple[int, int]], memo: dict) -> bool:
-    """10^k == 1 (mod 9k)?  parts: each prime power q of 9k with phi(q), or
-    (1, 1) for a parameter prime that does not divide k.
-
-    ord_q(10) divides phi(q), so 10^k == 1 (mod q) iff 10^g == 1 (mod q),
-    g = gcd(k, phi(q)); memo holds that verdict per (q, g).  A "yes" is
-    sound whatever phi is, as g divides k; a "no" is decided again by pow
-    with k itself, so no "no" rests on phi.
-    """
-    for q, phi in parts:
-        if q == 1:
-            continue
-        key = (q, gcd(k, phi))
-        ok = memo.get(key)
-        if ok is None:
-            ok = memo[key] = pow(10, key[1], q) == 1
-        if not ok:
-            return pow(10, k, 9 * k) == 1
-    return True
-
-
 def _ladder_bounds(bounds: ConjectureConstraints, n: int) -> list[int]:
     """The bound of each parameter but n at this n: its own where the ladder
     allows the parameter, 0 where it does not."""
@@ -288,11 +249,15 @@ def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridR
     ladder violations (n one below each parameter's floor) must fail it.
     Only ladder tuples are visited: for each n, the product over the
     parameters the ladder allows, the others fixed at 0, which keeps the
-    order of the full product.  _is_exact decides each tuple one prime power
-    q of 9k at a time, its exponent reduced to gcd(k, phi(q)) and memoized
-    for this call only; every "no" is pow(10, k, 9k) itself.  Tuples whose
-    modulus may exceed GRID_BIT_CAP bits are counted as skipped, never
-    passed silently.
+    order of the full product.  A tuple passes when every prime power of 9k
+    does.  3^(n+2) always does, by lifting the exponent: v3(10^k - 1) =
+    2 + n.  Each other p^e passes when 10^(3^n p^(e-1)) == 1 (mod p^e).
+    That exponent divides k, so the "yes" is sound, and a part that passes
+    at n passes at every larger n, so it is not checked again.  Any "no",
+    and each minimal violation, is pow(10, k, 9k) itself.  The README
+    proves that every part of a ladder tuple passes.  Tuples whose modulus
+    may exceed GRID_BIT_CAP bits are counted as skipped, never passed
+    silently.
     Raises OverflowError, before any work, when more than GRID_MAX_TUPLES
     tuples satisfy the ladder.
     """
@@ -304,38 +269,45 @@ def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridR
             f"the grid has {count} ladder tuples, above the {GRID_MAX_TUPLES}-tuple cap"
         )
     t0 = time.monotonic()
-    # Per parameter and exponent e it can take: (e, p**e, the power of p in 9k
-    # with its phi, e * bits of p), the bits summing to bit_estimate - 1.  The
-    # powers are None where their bits alone put 9k over the cap.
+    # Per parameter and exponent e it can take: (e, p**e, e * bits of p), the
+    # bits summing to bit_estimate - 1.  The powers are None where their bits
+    # alone put 9k over the cap.
+    primes = list(CONJECTURE_PRIMES.values())
     table = []
     reach = [bounds.n] + _ladder_bounds(bounds, bounds.n)
-    for p, bound in zip(CONJECTURE_PRIMES.values(), reach):
+    for p, bound in zip(primes, reach):
         bits = p.bit_length()
         table.append([
-            (e, p**e, _prime_power_of_9k(p, e), e * bits)
-            if e * bits + 5 <= GRID_BIT_CAP else (e, None, None, e * bits)
+            (e, p**e if e * bits + 5 <= GRID_BIT_CAP else None, e * bits)
             for e in range(bound + 1)
         ])
-    memo: dict[tuple[int, int], bool] = {}
+    # passed[i][e]: whether p^e, p the prime of parameter i + 1, has passed at
+    # some n so far; e = 0 puts no power of p in 9k
+    passed = [[e == 0 for e in range(bound + 1)] for bound in reach[1:]]
     entries = []
     skipped = 0
     for n in range(bounds.n + 1):
+        allowed = _ladder_bounds(bounds, n)
+        for p, column, bound, held in zip(primes[1:], table[1:], allowed, passed):
+            for e, q, _ in column[1:bound + 1]:
+                if q is not None and not held[e]:
+                    held[e] = pow(10, 3**n * p ** (e - 1), q) == 1
         axes = [table[0][n:n + 1]] + [
-            column[:bound + 1]
-            for column, bound in zip(table[1:], _ladder_bounds(bounds, n))
+            column[:bound + 1] for column, bound in zip(table[1:], allowed)
         ]
         for combo in product(*axes):
-            exponents, powers, parts, bits = zip(*combo)
+            exponents, powers, bits = zip(*combo)
             # bit_estimate + 4 bounds the bit length of 9k from above
             if sum(bits) + 1 + 4 > GRID_BIT_CAP:
                 skipped += 1
                 continue
             k = prod(powers)
+            exact = all(map(getitem, passed, exponents[1:])) or pow(10, k, 9 * k) == 1
             entries.append(GridEntry(ConjectureConstraints(*exponents),
-                                     (9 * k).bit_length(), _is_exact(k, parts, memo), True))
+                                     (9 * k).bit_length(), exact, True))
     for exp in _minimal_violations():
-        k, parts = exp.k, map(_prime_power_of_9k, CONJECTURE_PRIMES.values(), exp.as_tuple())
-        entries.append(GridEntry(exp, (9 * k).bit_length(), _is_exact(k, parts, memo), False))
+        k = exp.k
+        entries.append(GridEntry(exp, (9 * k).bit_length(), pow(10, k, 9 * k) == 1, False))
     return GridReport(
         bounds=bounds,
         bit_cap=GRID_BIT_CAP,

@@ -43,7 +43,6 @@ EXPORTS = [
     "is_pinn_criterion",
     "is_pinn_residue_count",
     "jacobi",
-    "modpow10",
     "multiplicative_order",
     "multiset_count",
     "orbit",

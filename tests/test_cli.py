@@ -296,6 +296,24 @@ def test_repdigit_grid_refuses_too_many_tuples_at_once(capsys):
     assert "ladder tuples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["--sweep", "100", "--grid"], "--sweep"),
+        (["--max-exp", "3"], "--max-exp"),
+        (["--sweep", "100", "--max-exp", "3"], "--max-exp"),
+        (["--grid", "--alpha", "2", "--a", "5"], "--a, --alpha"),
+        (["--grid", "--n", "0"], "--n"),
+        (["--sweep", "100", "--a", "1"], "--a"),
+    ],
+)
+def test_repdigit_refuses_a_flag_its_mode_ignores(capsys, argv, refused):
+    assert run(["repdigit", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert refused in captured.err
+
+
 def test_repdigit_sweep(capsys):
     assert run(["repdigit", "--sweep", "3000", "--format", "bfile"]) == 0
     lines = capsys.readouterr().out.splitlines()

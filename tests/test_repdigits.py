@@ -16,7 +16,6 @@ from permniven.repdigits import (
     DISTINGUISHED_PRIMES,
     ConjectureConstraints,
     exact_condition_sweep,
-    modpow10,
     repdigit_niven_check,
     verify_conjecture_grid,
     zero_insertion_probe,
@@ -52,23 +51,6 @@ def test_repdigit_check_validates_digit():
         repdigit_niven_check(0, 3)
     with pytest.raises(ValueError):
         repdigit_niven_check(10, 3)
-
-
-def test_modpow10_factored_matches_plain():
-    rng = random.Random(43)
-    for _ in range(150):
-        exps = {
-            name: rng.randrange(3)
-            for name in ("n", "alpha", "beta", "gamma1", "delta1")
-        }
-        cons = ConjectureConstraints(**exps)
-        m = rng.randrange(2, 10**9)
-        assert modpow10(cons, m) == pow(10, cons.k, m)
-
-
-def test_modpow10_rejects_tiny_modulus():
-    with pytest.raises(ValueError):
-        modpow10(3, 1)
 
 
 def test_factored_k_value_and_guard():
@@ -208,26 +190,79 @@ def test_grid_matches_the_plain_reference(monkeypatch, bounds, bit_cap):
 
 
 def test_grid_decides_every_no_by_the_plain_pow(monkeypatch):
-    # With the exponent reduction faked to gcd 1, every prime power of 9k
-    # but 9 says "no", so every verdict but k = 1's is the plain
-    # pow(10, k, 9k), and the grid still matches the reference.
-    monkeypatch.setattr(repdigits, "gcd", lambda k, phi: 1)
+    # With every per-part check faked to "no", each tuple with a prime other
+    # than 3 is decided by the plain pow(10, k, 9k), and the grid still
+    # matches the reference.
     plain = []
 
-    def counting_pow(base, exp, mod):
-        # the reduced checks raise 10 to the first power only
-        if exp > 1 and mod == 9 * exp:
+    def no_part_passes(base, exp, mod):
+        if mod == 9 * exp:
             plain.append(exp)
-        return pow(base, exp, mod)
+            return pow(base, exp, mod)
+        return 0
 
-    monkeypatch.setattr(repdigits, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(repdigits, "pow", no_part_passes, raising=False)
     report = verify_conjecture_grid()
     entries, _ = reference_grid(DEFAULT_GRID_BOUNDS)
     assert [
         (e.exponents.as_tuple(), e.modulus_bits, e.exact, e.expected)
         for e in report.entries
     ] == entries
-    assert sorted(plain) == sorted(e.exponents.k for e in report.entries)[1:]
+    assert sorted(plain) == sorted(
+        e.exponents.k for e in report.entries if any(e.exponents.as_tuple()[1:])
+    )
+
+
+def is_power_of_3(m):
+    while m % 3 == 0:
+        m //= 3
+    return m == 1
+
+
+@pytest.mark.parametrize("bounds", [DEFAULT_GRID_BOUNDS, ConjectureConstraints(n=3000)])
+def test_grid_takes_the_power_of_3_from_the_lifting(monkeypatch, bounds):
+    # 3^(n+2) passes by v3(10^k - 1) = 2 + v3(k), so no call raises 10 to a
+    # power modulo a power of 3, and n = 3000 takes no 3^3002-sized pow
+    moduli = []
+
+    def spy(base, exp, mod):
+        moduli.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(repdigits, "pow", spy, raising=False)
+    report = verify_conjecture_grid(bounds)
+    assert report.all_ok
+    assert moduli and not any(is_power_of_3(m) for m in moduli)
+
+
+def test_the_ladder_rests_on_lifting_and_on_no_wieferich_square():
+    # the finite part of the README's proof that the ladder is exact
+    for n in range(300):
+        r = pow(10, 3**n, 3 ** (n + 3))
+        assert (r - 1) % 3 ** (n + 2) == 0 and r != 1, n
+    for name, j in repdigits._LADDER.items():
+        p = CONJECTURE_PRIMES[name]
+        assert pow(10, 3**j, p) == 1 and pow(10, 3**j, p * p) != 1, name
+
+
+def test_the_ladder_is_the_exact_condition_on_random_tuples():
+    # n up to 7, each other exponent 0 or, one time in four, 1 to 3: k stays
+    # under 810 bits, and about 40% of the tuples break the ladder, far
+    # more than the nine minimal violations
+    rng = random.Random(21)
+    broken = kept = 0
+    for _ in range(2000):
+        exp = ConjectureConstraints(
+            rng.randrange(8),
+            *(rng.randrange(1, 4) if rng.random() < 0.25 else 0 for _ in range(9)),
+        )
+        k = exp.k
+        assert exp.satisfies_ladder() == (pow(10, k, 9 * k) == 1), exp
+        if exp.satisfies_ladder():
+            kept += 1
+        else:
+            broken += 1
+    assert broken > 500 and kept > 500
 
 
 def test_grid_refuses_too_many_ladder_tuples():
