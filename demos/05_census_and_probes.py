@@ -2,7 +2,7 @@
 
 PINNs are rare and get rarer: of the roughly ten million integers below
 10^7, only 11369 qualify, and below 10^12 only 488323.  The census counts
-without visiting each integer: census(10**18) takes about 0.25 s (2 cores,
+without visiting each integer: census(10**18) takes about 0.15 s (2 cores,
 Python 3.11), nearly all of it the Niven digit DP.
 Their digit sums are tightly constrained, and
 inserting zeros into a PINN at an interior position usually breaks it,

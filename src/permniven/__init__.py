@@ -34,7 +34,6 @@ from .numtheory import (
     NotCoprime,
     PrimalityVerdict,
     factorize,
-    jacobi,
     multiplicative_order,
     probable_prime,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "is_pinn_bruteforce",
     "is_pinn_criterion",
     "is_pinn_residue_count",
-    "jacobi",
     "multiplicative_order",
     "multiset_count",
     "orbit",

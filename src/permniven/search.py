@@ -29,7 +29,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb
 from typing import NamedTuple
 
 from .catalogs import GROUP_CORES, ZERO_FREE_EXTRAS
@@ -234,16 +233,16 @@ def _niven_count(max_value: int) -> int:
 
 
 def _arrangements_upto(m: DigitMultiset, top: str) -> int:
-    """Arrangements of m not led by zero that are <= top, a digit string of
-    width m.k, by multiset-permutation ranking in O(10k)."""
+    """Arrangements of m, leading zeros allowed, that are <= top, a digit
+    string of width m.k, by multiset-permutation ranking in O(10k)."""
     counts = list(m.counts)
     n = m.k
     rest = m.orbit_size  # arrangements of the digits not yet placed
     below = 0
-    for i, t in enumerate(map(int, top)):
-        # those that follow top up to position i and put a smaller digit
-        # there; rest * counts[d] / n of them put d there
-        below += rest * sum(counts[1 if i == 0 else 0:t]) // n
+    for t in map(int, top):
+        # those that follow top up to here and put a smaller digit here;
+        # rest * counts[d] / n of them put d here
+        below += rest * sum(counts[:t]) // n
         if not counts[t]:
             return below
         rest = rest * counts[t] // n
@@ -252,28 +251,30 @@ def _arrangements_upto(m: DigitMultiset, top: str) -> int:
     return below + 1  # top itself
 
 
-def _pinn_histogram(n: int) -> Counter[int]:
-    """The PINN values of width at most n, counted by digit sum in closed
-    form (README, "Counting").
+def _pinn_histogram(top: str) -> Counter[int]:
+    """The PINNs <= top, a digit string not led by zero, counted by digit
+    sum (README, "Counting").
 
-    A core of width w padded to width k has orbit_size * C(k - 1, w - 1)
-    values, which sum to orbit_size * C(n, w) over k <= n.  Each extra has
-    orbit_size values, and each repdigit a_(k) with k in S one, S being the
-    widths of exact_condition_sweep(n).
+    Written with L = len(top) digits, leading zeros allowed, each PINN is
+    an arrangement of a core of width w <= L with L - w zeros, a zero-free
+    extra of width <= L, or a repdigit a_(k) with k in S and 9 < k <= L,
+    S being the widths of exact_condition_sweep(L).  Stripping the leading
+    zeros maps the arrangements of a padded core one to one onto its
+    values at widths w..L, so each class is counted by one ranking; a
+    zero-free class narrower than L has all its arrangements below top.
     """
+    L = len(top)
     histogram: Counter[int] = Counter()
     for cores in map(_parsed, GROUP_CORES):
         for m in cores:
-            histogram[m.digit_sum] += m.orbit_size * comb(n, m.k)
-    for w, extras in ZERO_FREE_EXTRAS.items():
-        if w <= n:
-            for m in _parsed(extras):
-                histogram[m.digit_sum] += m.orbit_size
+            if m.k <= L:
+                histogram[m.digit_sum] += _arrangements_upto(m.with_zeros(L - m.k), top)
+    zero_free = [m for w, extras in ZERO_FREE_EXTRAS.items() if w <= L for m in _parsed(extras)]
     # the repdigits of widths 1, 3 and 9 are cores
-    for k in exact_condition_sweep(n):
-        if k > 9:
-            for a in range(1, 10):
-                histogram[a * k] += 1
+    zero_free += [DigitMultiset((0,) * a + (k,) + (0,) * (9 - a))
+                  for k in exact_condition_sweep(L) if k > 9 for a in range(1, 10)]
+    for m in zero_free:
+        histogram[m.digit_sum] += m.orbit_size if m.k < L else _arrangements_upto(m, top)
     return histogram
 
 
@@ -281,17 +282,12 @@ def census(max_value: int) -> CensusResult:
     """Count PINNs and Niven numbers in [1, max_value], with the PINN
     digit-sum histogram.
 
-    Niven numbers come from ``_niven_count``'s digit DP.  The PINNs below
-    max_value's width L come from the closed form of ``_pinn_histogram``;
-    at width L the search lists the classes and ``_arrangements_upto``
-    ranks each one's arrangements up to max_value.
+    Niven numbers come from ``_niven_count``'s digit DP and PINNs from
+    ``_pinn_histogram``'s ranking over the classification.
     """
     if not 1 <= max_value <= CENSUS_MAX:
         raise ValueError(f"census covers 1..{CENSUS_MAX}")
-    top = str(max_value)
-    histogram = _pinn_histogram(len(top) - 1)
-    for rec in search(SearchConfig(k=len(top))).records:
-        histogram[rec.multiset.digit_sum] += _arrangements_upto(rec.multiset, top)
+    histogram = _pinn_histogram(str(max_value))
     return CensusResult(
         pinn_count=sum(histogram.values()),
         niven_count=_niven_count(max_value),

@@ -42,7 +42,6 @@ EXPORTS = [
     "is_pinn_bruteforce",
     "is_pinn_criterion",
     "is_pinn_residue_count",
-    "jacobi",
     "multiplicative_order",
     "multiset_count",
     "orbit",

@@ -46,6 +46,15 @@ def test_strict_condition_first_diverges_at_a3_k3():
         assert chk.strict == chk.exact
 
 
+def test_strict_condition_is_divisibility_of_the_repunit():
+    # 10^k == 1 (mod 9ka) iff ka divides R_k = (10^k - 1) / 9; the check
+    # reads both conditions off one power mod 9ka
+    for a in range(1, 10):
+        for k in range(1, 501):
+            expected = value_mod("1" * k, k * a) == 0
+            assert repdigit_niven_check(a, k).strict == expected, (a, k)
+
+
 def test_repdigit_check_validates_digit():
     with pytest.raises(ValueError):
         repdigit_niven_check(0, 3)

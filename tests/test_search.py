@@ -6,6 +6,7 @@ test-side reference for that scan.
 """
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -314,6 +315,16 @@ def test_census_counts():
     assert census(10**4 - 1).pinn_count == sum(PER_K_VALUE_COUNTS[:4])
 
 
+def test_census_counts_without_the_search(monkeypatch):
+    # the census counts from the classification; the search stays the
+    # independent reference of the tests below
+    def refuse(cfg):
+        raise AssertionError("census called search")
+
+    monkeypatch.setitem(census.__globals__, "search", refuse)
+    test_census_counts()
+
+
 def _width_histogram(k: int) -> Counter[int]:
     """The k-digit PINN values by digit sum, from the search at width k."""
     histogram: Counter[int] = Counter()
@@ -324,21 +335,28 @@ def _width_histogram(k: int) -> Counter[int]:
 
 def test_closed_form_counts_each_width_as_the_search_does():
     # count(k) - count(k - 1) is the search's value count at width k, digit
-    # sum by digit sum, through the repdigit widths 27, 81, 111 and 243
-    assert _pinn_histogram(0) == Counter()
+    # sum by digit sum, through the repdigit widths 27, 81, 111 and 243;
+    # count(k), the ranking up to 10^k - 1, is the README's closed form
+    cores = _classes(c for group in GROUP_CORES for c in group)
+    extras = _classes(c for group in ZERO_FREE_EXTRAS.values() for c in group)
+    assert _pinn_histogram("") == Counter()
     previous = Counter()
     for k in range(1, 301):
-        current = _pinn_histogram(k)
+        current = _pinn_histogram("9" * k)
         assert current - previous == _width_histogram(k), k
         previous = current
-    assert sum(_pinn_histogram(18).values()) == 10537248  # the PINNs below 10^18
+        closed = sum(m.orbit_size * math.comb(k, m.k) for m in cores)
+        closed += sum(m.orbit_size for m in extras if m.k <= k)
+        closed += 9 * sum(1 for j in range(10, k + 1) if pow(10, j, 9 * j) == 1)
+        assert sum(current.values()) == closed, k
+    assert sum(_pinn_histogram("9" * 18).values()) == 10537248  # the PINNs below 10^18
 
 
 def test_census_pinns_match_a_search_at_every_width(monkeypatch):
     # The reference route: a search at every width below the bound's, each
     # class counted with all its values, and at the bound's width the
-    # arrangements up to the bound.  The census takes the widths below from
-    # the closed form; its Niven DP is not under test here.
+    # arrangements not led by zero up to the bound.  The census ranks the
+    # padded cores instead; its Niven DP is not under test here.
     monkeypatch.setitem(census.__globals__, "_niven_count", lambda max_value: 0)
     below = [Counter()]
     for k in range(1, 20):
@@ -348,7 +366,10 @@ def test_census_pinns_match_a_search_at_every_width(monkeypatch):
         top = str(max_value)
         histogram = below[len(top) - 1].copy()
         for rec in search(SearchConfig(k=len(top))).records:
-            histogram[rec.multiset.digit_sum] += _arrangements_upto(rec.multiset, top)
+            m = rec.multiset
+            # every zero-led arrangement lies below top, which is not
+            zero_led = m.orbit_size - m.value_count
+            histogram[m.digit_sum] += _arrangements_upto(m, top) - zero_led
         return sum(histogram.values()), {s: c for s, c in sorted(histogram.items()) if c}
 
     rng = random.Random(71)
@@ -398,17 +419,22 @@ def test_census_niven_count_against_bruteforce():
 
 
 def test_top_width_ranking_matches_orbit_enumeration():
+    # every arrangement counts, zero-led ones included.  The census ranks
+    # each core with L - w zeros, which are among the search's classes
     rng = random.Random(67)
+    cores = _classes(c for group in GROUP_CORES for c in group)
     for k in range(1, 9):
         tops = {str(10 ** (k - 1)), "9" * k}
         tops.update(str(rng.randrange(10 ** (k - 1), 10**k)) for _ in range(6))
-        for rec in search(SearchConfig(k=k)).records:
-            perms = [p for p in orbit(rec.multiset) if p[0] != "0"]
-            # the class's own values make tops that hit an arrangement exactly
-            chosen = tops | {rng.choice(perms), rec.multiset.canonical}
+        classes = [rec.multiset for rec in search(SearchConfig(k=k)).records]
+        assert {m.with_zeros(k - m.k) for m in cores if m.k <= k} <= set(classes)
+        for m in classes:
+            perms = list(orbit(m))
+            # the class's own arrangements make tops that hit one exactly
+            chosen = tops | {rng.choice(perms), m.canonical, perms[0]}
             for top in chosen:
                 want = sum(1 for p in perms if p <= top)
-                assert _arrangements_upto(rec.multiset, top) == want, (rec.multiset.canonical, top)
+                assert _arrangements_upto(m, top) == want, (m.canonical, top)
 
 
 def test_census_at_large_bounds():
