@@ -38,8 +38,8 @@ print(
     f"{report.skipped_over_cap} skipped over the {report.bit_cap}-bit cap"
 )
 
-# The exponents keep k in factored form, so 10^k mod 9k costs one pow per
-# prime power of k rather than one pow with k itself as the exponent.
+# The exponents name k by its factors; the check itself is one modular
+# power, 10^k mod 9ka, and 10^k mod 9k follows because 9k divides 9ka.
 huge = ConjectureConstraints(n=5, alpha=2, beta=1, gamma1=1, delta3=1)
-print(f"\nk with {huge.bit_estimate} bits, one pow per prime power:",
-      repdigit_niven_check(1, huge).exact)
+print(f"\nk with {huge.bit_estimate} bits, one pow mod 9ka:",
+      repdigit_niven_check(1, huge.k).exact)

@@ -199,7 +199,7 @@ def _render_instances(ns: argparse.Namespace, instances, verify_failures=None) -
         # one line per class, by canonical representative; every one has
         # width k, so string order is numeric order
         values = {m.canonical for inst in instances for m in inst.members}
-        sys.stdout.write(bfile_text(sorted(values)))
+        sys.stdout.write(bfile_text(values))
     else:
         for inst in instances:
             print(f"{inst.template_id} k={inst.k}: {len(inst.members)} members")
@@ -311,10 +311,10 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
     with _user_input():
         cons = ConjectureConstraints(*(getattr(ns, name) or 0 for name in CONJECTURE_PRIMES))
     try:
-        chk = repdigit_niven_check(a, cons)
+        k_value = cons.k
     except OverflowError as exc:  # k above K_BIT_CAP, refused before any work
         raise UsageError(str(exc)) from exc
-    k_value = cons.k
+    chk = repdigit_niven_check(a, k_value)
     if ns.format == "json":
         obj = {
             "a": a,

@@ -25,6 +25,8 @@ __all__ = [
     "compress",
     "digit_sum_of",
     "expand",
+    "format_number",
+    "multiset_count",
     "parse_number",
     "value_mod",
 ]

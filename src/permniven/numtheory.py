@@ -17,7 +17,6 @@ __all__ = [
     "NotCoprime",
     "PrimalityVerdict",
     "factorize",
-    "jacobi",
     "multiplicative_order",
     "probable_prime",
 ]

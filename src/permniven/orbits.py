@@ -40,14 +40,12 @@ __all__ = [
     "CriterionProof",
     "FailureWitness",
     "PinnRecord",
-    "class_modulus",
     "decide_pinn",
     "is_niven",
     "is_pinn_bruteforce",
     "is_pinn_criterion",
     "is_pinn_residue_count",
     "orbit",
-    "residue_table_size",
 ]
 
 # A guard, not a knob: decide_pinn's tables stay far below it unless the

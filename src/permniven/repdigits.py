@@ -32,6 +32,7 @@ from .numtheory import probable_prime
 
 __all__ = [
     "CONJECTURE_PRIMES",
+    "DEFAULT_GRID_BOUNDS",
     "DISTINGUISHED_PRIMES",
     "ConjectureConstraints",
     "GridEntry",
@@ -169,16 +170,15 @@ class RepdigitCheck(NamedTuple):
     exact: bool  # 10^k == 1 (mod 9k), necessary and sufficient
 
 
-def repdigit_niven_check(a: int, k: ConjectureConstraints | int) -> RepdigitCheck:
+def repdigit_niven_check(a: int, k: int) -> RepdigitCheck:
     """Is the k-digit repdigit of a a Niven number?  Both conditions."""
     if not 1 <= a <= 9:
         raise ValueError("digit a must be 1..9")
-    kv = k if isinstance(k, int) else k.k
-    if kv < 1:
+    if k < 1:
         raise ValueError("k must be >= 1")
     # 9k divides 9ka, so one power mod 9ka gives 10^k mod 9k as well
-    r = pow(10, kv, 9 * kv * a)
-    return RepdigitCheck(strict=r == 1, exact=r % (9 * kv) == 1)
+    r = pow(10, k, 9 * k * a)
+    return RepdigitCheck(strict=r == 1, exact=r % (9 * k) == 1)
 
 
 # --- the solution grid ------------------------------------------------------------

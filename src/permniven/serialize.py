@@ -16,25 +16,19 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import fields
 from typing import Any, Callable, Iterable, Sequence
 
 from .digits import _format_runs, multiset_count
 from .families import FamilyInstance
 from .orbits import CriterionProof, FailureWitness, PinnRecord
-from .repdigits import ConjectureConstraints, GridReport
+from .repdigits import CONJECTURE_PRIMES, GridReport
 from .search import CensusResult, SearchConfig, SearchReport, search
 
 __all__ = [
     "bfile_text",
-    "census_to_obj",
-    "csv_text",
-    "family_instances_to_obj",
-    "grid_report_to_obj",
     "records_to_csv",
     "report_from_json",
     "report_to_json",
-    "to_json_text",
 ]
 
 
@@ -178,7 +172,7 @@ def records_to_csv(records: Iterable[PinnRecord]) -> str:
     )
 
 
-def bfile_text(values: Sequence[int] | Sequence[str]) -> str:
+def bfile_text(values: Iterable[int] | Iterable[str]) -> str:
     """OEIS b-file lines: "index value", 1-based, ascending.
 
     The values are ints, or digit strings that all have the same width, so
@@ -202,7 +196,7 @@ def family_instances_to_obj(instances: Iterable[FamilyInstance]) -> list[dict[st
     ]
 
 
-_EXPONENT_NAMES = tuple(f.name for f in fields(ConjectureConstraints))
+_EXPONENT_NAMES = tuple(CONJECTURE_PRIMES)
 
 
 def grid_report_to_obj(report: GridReport) -> dict[str, Any]:

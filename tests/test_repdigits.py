@@ -77,13 +77,13 @@ def test_factored_k_value_and_guard():
     over = ConjectureConstraints(n=at_cap.n + 1)
     assert over.bit_estimate > repdigits.K_BIT_CAP
     with pytest.raises(OverflowError):
-        repdigit_niven_check(1, over)
+        over.k
 
 
 def test_empty_exponents_mean_k_equals_one():
     cons = ConjectureConstraints()
     assert cons.factors == () and cons.k == 1 and cons.bit_estimate == 1
-    assert repdigit_niven_check(5, cons).exact  # 5 is divisible by 5
+    assert repdigit_niven_check(5, cons.k).exact  # 5 is divisible by 5
 
 
 def test_ladder():
