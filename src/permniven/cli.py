@@ -61,7 +61,7 @@ from .serialize import (
     census_to_obj,
     csv_text,
     family_instances_to_obj,
-    grid_report_to_obj,
+    grid_report_to_json,
     records_to_csv,
     report_to_json,
     to_json_text,
@@ -282,7 +282,7 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
         except OverflowError as exc:  # too many ladder tuples, refused before any work
             raise UsageError(str(exc)) from exc
         if ns.format == "json":
-            sys.stdout.write(to_json_text(grid_report_to_obj(report)))
+            sys.stdout.write(grid_report_to_json(report))
         elif ns.format == "csv":
             rows = [
                 ("*".join(map(str, e.exponents.as_tuple())), e.modulus_bits, e.exact, e.expected)

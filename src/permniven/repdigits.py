@@ -87,8 +87,8 @@ GRID_BIT_CAP = 4096
 # verify_conjecture_grid refuses bounds with more ladder tuples.  A ladder
 # tuple costs a product and no modular power, so the cap bounds the cost as
 # well as the count.  The 41637 tuples of n=12, alpha=beta=3,
-# gamma1=gamma2=2 and each delta 1 take 0.3 s to check and 0.5-0.7 s to
-# write as JSON, at a peak RSS of 82 MB; n=49999 gives 50000 tuples, 2046
+# gamma1=gamma2=2 and each delta 1 take 0.3-0.45 s to check and 0.1-0.2 s to
+# write as JSON, at a peak RSS of 62 MB; n=49999 gives 50000 tuples, 2046
 # of them under the bit cap, and takes 0.5-0.6 s (2 cores, Python 3.11).
 # Uniform bounds of 3 give 277 tuples, of 4 already 1953781.
 GRID_MAX_TUPLES = 50_000

@@ -1,9 +1,11 @@
 """Machine-readable output: JSON (round-trips), CSV, and b-file lines.
 
-Every JSON text is ``to_json_text``'s: exactly what
-``json.dumps(obj, indent=2, sort_keys=True)`` writes, and a newline, but
-built by one recursive walk that joins each container's items, since with
-``indent`` set CPython's ``json`` falls back to its pure-Python encoder.
+Every JSON text is exactly what ``json.dumps(obj, indent=2,
+sort_keys=True)`` writes, and a newline.  ``to_json_text`` writes it by one
+recursive walk that joins each container's items, since with ``indent`` set
+CPython's ``json`` falls back to its pure-Python encoder; the one exception,
+the repdigit grid's thousands of same-shaped entries, is formatted from a
+template by ``grid_report_to_json``, in the same bytes.
 
 Search reports serialize without the elapsed field; every other field is
 a pure function of the inputs, so two runs of the same query produce
@@ -16,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .digits import _format_runs, multiset_count
@@ -196,25 +199,47 @@ def family_instances_to_obj(instances: Iterable[FamilyInstance]) -> list[dict[st
     ]
 
 
-_EXPONENT_NAMES = tuple(CONJECTURE_PRIMES)
+# The grid's JSON has one fixed shape, so each entry is one %-format of a
+# template instead of a walk over a dict per entry.  The exponents are read
+# in key order, which sort_keys gives, not in field order.
+_GRID_NAMES = sorted(CONJECTURE_PRIMES)
+_grid_exponents = attrgetter(*_GRID_NAMES)
+_JSON_BOOL = ("false", "true")
 
 
-def grid_report_to_obj(report: GridReport) -> dict[str, Any]:
-    return {
-        "bounds": dict(zip(_EXPONENT_NAMES, report.bounds.as_tuple())),
-        "bit_cap": report.bit_cap,
-        "skipped_over_cap": report.skipped_over_cap,
-        "all_ok": report.all_ok,
-        "entries": [
-            {
-                "exponents": dict(zip(_EXPONENT_NAMES, e.exponents.as_tuple())),
-                "modulus_bits": e.modulus_bits,
-                "exact": e.exact,
-                "expected": e.expected,
-            }
-            for e in report.entries
-        ],
-    }
+def _exponents_template(nl: str) -> str:
+    inner = nl + "  "
+    keys = ("," + inner).join(f"{_encode_str(name)}: %d" for name in _GRID_NAMES)
+    return f"{{{inner}{keys}{nl}}}"
+
+
+_GRID_ENTRY = (
+    '{\n      "exact": %s,\n      "expected": %s,\n      "exponents": '
+    + _exponents_template("\n      ")
+    + ',\n      "modulus_bits": %d\n    }'
+)
+_GRID_REPORT = (
+    '{\n  "all_ok": %s,\n  "bit_cap": %d,\n  "bounds": '
+    + _exponents_template("\n  ")
+    + ',\n  "entries": %s,\n  "skipped_over_cap": %d\n}\n'
+)
+
+
+def grid_report_to_json(report: GridReport) -> str:
+    """``to_json_text`` of the report's object, byte for byte: all_ok,
+    bit_cap, bounds, entries and skipped_over_cap, each entry with exact,
+    expected, exponents and modulus_bits, exponents keyed by parameter name."""
+    entries = ",\n    ".join([
+        _GRID_ENTRY % (
+            _JSON_BOOL[e.exact], _JSON_BOOL[e.expected],
+            *_grid_exponents(e.exponents), e.modulus_bits,
+        )
+        for e in report.entries
+    ])
+    return _GRID_REPORT % (
+        _JSON_BOOL[report.all_ok], report.bit_cap, *_grid_exponents(report.bounds),
+        f"[\n    {entries}\n  ]" if entries else "[]", report.skipped_over_cap,
+    )
 
 
 def census_to_obj(result: CensusResult, max_value: int) -> dict[str, Any]:

@@ -270,6 +270,14 @@ def test_repdigit_grid(capsys):
     assert run(["repdigit", "--grid", "--format", "bfile"]) == 2
 
 
+def test_repdigit_grid_json_is_json_dumps_of_itself(capsys):
+    assert run(["repdigit", "--grid", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    obj = json.loads(out)
+    assert out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert len(obj["entries"]) == 3514 and obj["all_ok"] is True
+
+
 def test_repdigit_grid_text_keeps_the_time_off_stdout(capsys):
     runs = []
     for _ in range(2):

@@ -7,22 +7,29 @@ import json
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permniven import repdigits
 from permniven.digits import DigitMultiset, multiset_count
 from permniven.families import catalog, instantiate
 from permniven.orbits import PinnRecord, is_pinn_criterion
-from permniven.repdigits import ConjectureConstraints, verify_conjecture_grid
+from permniven.repdigits import (
+    CONJECTURE_PRIMES,
+    DEFAULT_GRID_BOUNDS,
+    ConjectureConstraints,
+    verify_conjecture_grid,
+)
 from permniven.search import SearchConfig, census, search
 from permniven.serialize import (
     _record_to_obj,
     bfile_text,
     census_to_obj,
     family_instances_to_obj,
-    grid_report_to_obj,
+    grid_report_to_json,
     records_to_csv,
     report_from_json,
     report_to_json,
@@ -180,16 +187,50 @@ def test_family_instances_to_obj_uses_block_notation():
     assert [o["template"] for o in objs] == ["N21", "N22"]
 
 
-def test_grid_report_to_obj():
-    report = verify_conjecture_grid(ConjectureConstraints(n=3, alpha=1))
-    obj = grid_report_to_obj(report)
-    assert obj["all_ok"] is True
-    assert obj["bounds"]["n"] == 3
-    assert len(obj["entries"]) == len(report.entries)
-    assert {"exponents", "modulus_bits", "exact", "expected"} == set(
-        obj["entries"][0]
-    )
-    json.dumps(obj)  # fully serializable
+def _grid_report_obj(report):
+    """The grid report as the object the grid's JSON text writes."""
+    names = tuple(CONJECTURE_PRIMES)
+    return {
+        "bounds": dict(zip(names, report.bounds.as_tuple())),
+        "bit_cap": report.bit_cap,
+        "skipped_over_cap": report.skipped_over_cap,
+        "all_ok": report.all_ok,
+        "entries": [
+            {
+                "exponents": dict(zip(names, e.exponents.as_tuple())),
+                "modulus_bits": e.modulus_bits,
+                "exact": e.exact,
+                "expected": e.expected,
+            }
+            for e in report.entries
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [DEFAULT_GRID_BOUNDS, ConjectureConstraints(n=49999)]
+    + [ConjectureConstraints(*[u] * 10) for u in range(4)],
+    ids=["default", "n49999", "uniform0", "uniform1", "uniform2", "uniform3"],
+)
+def test_grid_report_json_is_json_dumps(bounds):
+    report = verify_conjecture_grid(bounds)
+    expected = json.dumps(_grid_report_obj(report), indent=2, sort_keys=True) + "\n"
+    assert grid_report_to_json(report) == expected
+
+
+def test_grid_report_json_with_skipped_and_failed_entries(monkeypatch):
+    monkeypatch.setattr(repdigits, "GRID_BIT_CAP", 32)
+    report = verify_conjecture_grid(ConjectureConstraints(n=4, alpha=2, beta=1, delta1=1))
+    assert report.skipped_over_cap > 0 and report.bit_cap == 32
+    # a failed entry writes all_ok false; no entries write an empty list
+    failed = replace(report, entries=report.entries + (replace(report.entries[0], exact=False),))
+    empty = replace(report, entries=())
+    for r in (report, failed, empty):
+        expected = json.dumps(_grid_report_obj(r), indent=2, sort_keys=True) + "\n"
+        assert grid_report_to_json(r) == expected
+    assert json.loads(grid_report_to_json(failed))["all_ok"] is False
+    assert json.loads(grid_report_to_json(empty))["entries"] == []
 
 
 def test_census_to_obj():
