@@ -2,12 +2,12 @@
 
 Subcommands map one-to-one onto the library entry points: check, search,
 families, catalog, repdigit, order, census, probe-zero-insertion.  Output
-goes to stdout in one of four formats (text, json, csv, bfile); bfile is
-only meaningful for plain value lists.  Exit status is 0 on success, 1
-when a verification produced a negative verdict or could not finish
-(deciders that disagree and internal faults included), and 2 on usage
-errors and nothing else: a malformed argument, or a value the library
-refuses because of what the user typed.
+goes to stdout as text, json, csv or bfile; each command's writers, one per
+format it writes, decide which, and any other is refused before any work.
+Exit status is 0 on success, 1 when a verification produced a negative
+verdict or could not finish (deciders that disagree and internal faults
+included), and 2 on usage errors and nothing else: a malformed argument,
+or a value the library refuses because of what the user typed.
 
 `check` and `families --verify` share ``orbits.decide_pinn``: the
 congruence criterion, and behind every "yes" a second decider, the closed
@@ -23,7 +23,7 @@ import argparse
 import functools
 import sys
 from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .catalogs import GROUP_CORES
 from .digits import (
@@ -58,9 +58,7 @@ from .search import (
 from .serialize import (
     _proof_to_obj,
     bfile_text,
-    census_to_obj,
     csv_text,
-    family_instances_to_obj,
     grid_report_to_json,
     records_to_csv,
     report_to_json,
@@ -76,11 +74,19 @@ class UsageError(Exception):
     pass
 
 
-def _require_format(fmt: str, *allowed: str) -> None:
-    if fmt not in allowed:
+def _writer(ns: argparse.Namespace, **writers: Callable[..., str]) -> Callable[..., str]:
+    """The writer of ns.format, from the command's table of writers, each
+    keyed by the format it writes and turning the command's result into
+    its output text; a format without a writer is a usage error."""
+    if ns.format not in writers:
         raise UsageError(
-            f"format {fmt!r} is not valid here (choose from {', '.join(allowed)})"
+            f"format {ns.format!r} is not valid here (choose from {', '.join(writers)})"
         )
+    return writers[ns.format]
+
+
+def _lines(*lines: str) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 @contextmanager
@@ -99,7 +105,37 @@ def _user_input() -> Iterator[None]:
 # --- subcommands ---------------------------------------------------------------------
 
 def _cmd_check(ns: argparse.Namespace) -> int:
-    _require_format(ns.format, "text", "json")
+    def text(runs, m, ok, proof, residue_counted):
+        pretty = expand(runs) if m.k <= 40 else _format_runs(runs)
+        s = m.digit_sum
+        if not ok:
+            return _lines(f"{pretty} is not a PINN: witness {proof.permutation} mod {s} = "
+                          f"{proof.residue}")
+        return _lines(
+            f"{pretty} is a PINN: k {m.k}, digit sum {s}, orbit {m.orbit_size}",
+            "proof: congruence criterion over "
+            f"{len(proof.digit_pairs_checked)} digit pairs and "
+            f"{len(proof.position_gaps_checked)} position gaps",
+            f"cross-check: the residue count puts all {m.orbit_size} arrangements at 0 mod {s}"
+            if residue_counted else "cross-check: 10^k = 1 (mod 9k)",
+        )
+
+    def json(runs, m, ok, proof, residue_counted):
+        obj: dict[str, Any] = {
+            "input": ns.number,
+            "canonical": m.canonical,
+            "k": m.k,
+            "digit_sum": m.digit_sum,
+            "orbit_size": m.orbit_size,
+            "is_pinn": ok,
+        }
+        if ok:
+            obj["proof"] = {**_proof_to_obj(proof), "residue_counted": residue_counted}
+        else:
+            obj["witness"] = _proof_to_obj(proof)
+        return to_json_text(obj)
+
+    write = _writer(ns, text=text, json=json)
     # the multiset and the printed form come from the runs: a PINN verdict
     # in text never expands the digits
     with _user_input():
@@ -108,113 +144,85 @@ def _cmd_check(ns: argparse.Namespace) -> int:
         for d, n in runs:
             counts[d] += n
         m = DigitMultiset(tuple(counts))
-    s = m.digit_sum
     ok, proof, residue_counted = decide_pinn(m)
-    pretty = expand(runs) if m.k <= 40 else _format_runs(runs)
-    if ns.format == "json":
-        obj: dict[str, Any] = {
-            "input": ns.number,
-            "canonical": m.canonical,
-            "k": m.k,
-            "digit_sum": s,
-            "orbit_size": m.orbit_size,
-            "is_pinn": ok,
-        }
-        if ok:
-            obj["proof"] = {**_proof_to_obj(proof), "residue_counted": residue_counted}
-        else:
-            obj["witness"] = _proof_to_obj(proof)
-        sys.stdout.write(to_json_text(obj))
-    elif ok:
-        print(f"{pretty} is a PINN: k {m.k}, digit sum {s}, orbit {m.orbit_size}")
-        print(
-            "proof: congruence criterion over "
-            f"{len(proof.digit_pairs_checked)} digit pairs and "
-            f"{len(proof.position_gaps_checked)} position gaps"
-        )
-        if residue_counted:
-            print(f"cross-check: the residue count puts all {m.orbit_size} "
-                  f"arrangements at 0 mod {s}")
-        else:
-            print("cross-check: 10^k = 1 (mod 9k)")
-    else:
-        print(
-            f"{pretty} is not a PINN: witness "
-            f"{proof.permutation} mod {s} = {proof.residue}"
-        )
+    sys.stdout.write(write(runs, m, ok, proof, residue_counted))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def _cmd_search(ns: argparse.Namespace) -> int:
-    with _user_input():
-        cfg = SearchConfig(
-            k=ns.k,
-            allow_zero=not ns.no_zeros,
-            exclude_repdigits=ns.exclude_repdigits,
-        )
-    report = search(cfg)
-    if ns.format == "json":
-        sys.stdout.write(report_to_json(report))
-    elif ns.format == "csv":
-        sys.stdout.write(records_to_csv(report.records))
-    elif ns.format == "bfile":
-        sys.stdout.write(bfile_text(report_values(report)))
-    else:
-        n_values = sum(rec.multiset.value_count for rec in report.records)
-        print(
-            f"k={report.k}: {len(report.records)} canonical multisets, "
-            f"{n_values} values"
-        )
-        for m in (rec.multiset for rec in report.records):
-            print(f"  {_format_runs(m.runs)}  digit_sum={m.digit_sum} orbit={m.orbit_size}")
-        print(
-            f"scanned {report.multisets_scanned} multisets "
-            f"(stage 1: {report.stage1_count}, stage 2: {report.stage2_count})"
-        )
+    def text(report):
         # wall time varies run to run, so it stays off the deterministic stdout
         print(f"search took {report.elapsed:.2f}s", file=sys.stderr)
+        classes = [rec.multiset for rec in report.records]
+        return _lines(
+            f"k={report.k}: {len(classes)} canonical multisets, "
+            f"{sum(m.value_count for m in classes)} values",
+            *(f"  {_format_runs(m.runs)}  digit_sum={m.digit_sum} orbit={m.orbit_size}"
+              for m in classes),
+            f"scanned {report.multisets_scanned} multisets "
+            f"(stage 1: {report.stage1_count}, stage 2: {report.stage2_count})",
+        )
+
+    write = _writer(
+        ns,
+        text=text,
+        json=report_to_json,
+        csv=lambda report: records_to_csv(report.records),
+        bfile=lambda report: bfile_text(report_values(report)),
+    )
+    with _user_input():
+        cfg = SearchConfig(ns.k, not ns.no_zeros, ns.exclude_repdigits)
+    sys.stdout.write(write(search(cfg)))
     return EXIT_OK
 
 
-def _render_instances(ns: argparse.Namespace, instances, verify_failures=None) -> None:
-    if ns.format == "json":
-        obj: dict[str, Any] = {"k": ns.k, "families": family_instances_to_obj(instances)}
-        if verify_failures is not None:
-            obj["verified"] = not verify_failures
-            obj["failures"] = [
-                {"template": tid, "canonical": m.canonical}
-                for tid, m in verify_failures
-            ]
-        sys.stdout.write(to_json_text(obj))
-    elif ns.format == "csv":
-        rows = [
-            (inst.template_id, inst.k, m.canonical, m.digit_sum, m.orbit_size)
+def _instances_writer(ns: argparse.Namespace) -> Callable[..., str]:
+    """The writer of families and catalog.  It takes the instances and the
+    failed members, which are None unless families --verify ran."""
+    def text(instances, failures):
+        lines = []
+        for inst in instances:
+            lines.append(f"{inst.template_id} k={inst.k}: {len(inst.members)} members")
+            lines.extend(f"  {_format_runs(m.runs)}" for m in inst.members)
+        if failures:
+            lines.extend(f"FAILED {tid}: {_format_runs(m.runs)}" for tid, m in failures)
+        elif failures is not None:
+            lines.append(f"verified: all {sum(len(i.members) for i in instances)} members")
+        return _lines(*lines)
+
+    def json(instances, failures):
+        obj: dict[str, Any] = {"k": ns.k, "families": [
+            {
+                "template": inst.template_id,
+                "k": inst.k,
+                "members": [_format_runs(m.runs) for m in inst.members],
+            }
             for inst in instances
-            for m in inst.members
-        ]
-        sys.stdout.write(
-            csv_text(["family", "k", "canonical", "digit_sum", "orbit_size"], rows)
-        )
-    elif ns.format == "bfile":
+        ]}
+        if failures is not None:
+            obj["verified"] = not failures
+            obj["failures"] = [{"template": t, "canonical": m.canonical} for t, m in failures]
+        return to_json_text(obj)
+
+    return _writer(
+        ns,
+        text=text,
+        json=json,
+        csv=lambda instances, failures: csv_text(
+            ["family", "k", "canonical", "digit_sum", "orbit_size"],
+            [(inst.template_id, inst.k, m.canonical, m.digit_sum, m.orbit_size)
+             for inst in instances for m in inst.members],
+        ),
         # one line per class, by canonical representative; every one has
         # width k, so string order is numeric order
-        values = {m.canonical for inst in instances for m in inst.members}
-        sys.stdout.write(bfile_text(values))
-    else:
-        for inst in instances:
-            print(f"{inst.template_id} k={inst.k}: {len(inst.members)} members")
-            for m in inst.members:
-                print(f"  {_format_runs(m.runs)}")
-        if verify_failures is not None:
-            if verify_failures:
-                for tid, m in verify_failures:
-                    print(f"FAILED {tid}: {_format_runs(m.runs)}")
-            else:
-                total = sum(len(inst.members) for inst in instances)
-                print(f"verified: all {total} members")
+        bfile=lambda instances, failures: bfile_text(
+            {m.canonical for inst in instances for m in inst.members}
+        ),
+    )
 
 
 def _cmd_families(ns: argparse.Namespace) -> int:
+    write = _instances_writer(ns)
     try:
         instances = [instantiate(fid, ns.k) for fid in FAMILY_IDS]
     except KTooSmall:
@@ -228,14 +236,15 @@ def _cmd_families(ns: argparse.Namespace) -> int:
             for m, ok, _proof in verify_family(inst):
                 if not ok:
                     failures.append((inst.template_id, m))
-    _render_instances(ns, instances, failures)
+    sys.stdout.write(write(instances, failures))
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
 def _cmd_catalog(ns: argparse.Namespace) -> int:
+    write = _instances_writer(ns)
     if not 1 <= ns.k <= 9:
         raise UsageError("catalog covers k = 1..9")
-    _render_instances(ns, reference_catalog(ns.k))
+    sys.stdout.write(write(reference_catalog(ns.k), None))
     return EXIT_OK
 
 
@@ -253,25 +262,47 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
     if ns.max_exp is not None and not ns.grid:
         raise UsageError("--max-exp: allowed only with --grid")
     if ns.sweep is not None:
+        write = _writer(
+            ns,
+            text=lambda values: _lines(
+                f"k <= {ns.sweep} with 10^k = 1 (mod 9k): {len(values)} values",
+                " ".join(map(str, values)),
+            ),
+            json=lambda values: to_json_text({"limit": ns.sweep, "k_values": values}),
+            csv=lambda values: csv_text(["k"], [(v,) for v in values]),
+            bfile=bfile_text,
+        )
         if ns.sweep < 1:
             raise UsageError("--sweep LIMIT must be >= 1")
         try:
             values = exact_condition_sweep(ns.sweep)
         except OverflowError as exc:  # limit above SWEEP_LIMIT_CAP, refused before any work
             raise UsageError(str(exc)) from exc
-        if ns.format == "json":
-            sys.stdout.write(to_json_text({"limit": ns.sweep, "k_values": values}))
-        elif ns.format == "csv":
-            sys.stdout.write(csv_text(["k"], [(v,) for v in values]))
-        elif ns.format == "bfile":
-            sys.stdout.write(bfile_text(values))
-        else:
-            print(f"k <= {ns.sweep} with 10^k = 1 (mod 9k): {len(values)} values")
-            print(" ".join(str(v) for v in values))
+        sys.stdout.write(write(values))
         return EXIT_OK
 
     if ns.grid:
-        _require_format(ns.format, "text", "json", "csv")
+        def grid_text(report):
+            # wall time varies run to run, so it stays off the deterministic stdout
+            print(f"grid took {report.elapsed:.2f}s", file=sys.stderr)
+            return _lines(
+                f"{len(report.entries)} exponent tuples checked, "
+                f"{report.skipped_over_cap} skipped over the {report.bit_cap}-bit cap",
+                *(f"FAILED {e.exponents.as_tuple()}: exact={e.exact} expected={e.expected}"
+                  for e in report.failures()),
+                *(["all tuples consistent with the exact condition"] if report.all_ok else []),
+            )
+
+        write = _writer(
+            ns,
+            text=grid_text,
+            json=grid_report_to_json,
+            csv=lambda report: csv_text(
+                ["exponents", "modulus_bits", "exact", "expected"],
+                [("*".join(map(str, e.exponents.as_tuple())), e.modulus_bits, e.exact, e.expected)
+                 for e in report.entries],
+            ),
+        )
         if ns.max_exp is None:
             bounds = DEFAULT_GRID_BOUNDS
         else:
@@ -281,30 +312,32 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
             report = verify_conjecture_grid(bounds)
         except OverflowError as exc:  # too many ladder tuples, refused before any work
             raise UsageError(str(exc)) from exc
-        if ns.format == "json":
-            sys.stdout.write(grid_report_to_json(report))
-        elif ns.format == "csv":
-            rows = [
-                ("*".join(map(str, e.exponents.as_tuple())), e.modulus_bits, e.exact, e.expected)
-                for e in report.entries
-            ]
-            sys.stdout.write(
-                csv_text(["exponents", "modulus_bits", "exact", "expected"], rows)
-            )
-        else:
-            print(
-                f"{len(report.entries)} exponent tuples checked, "
-                f"{report.skipped_over_cap} skipped over the {report.bit_cap}-bit cap"
-            )
-            for e in report.failures():
-                print(f"FAILED {e.exponents.as_tuple()}: exact={e.exact} expected={e.expected}")
-            if report.all_ok:
-                print("all tuples consistent with the exact condition")
-            # wall time varies run to run, so it stays off the deterministic stdout
-            print(f"grid took {report.elapsed:.2f}s", file=sys.stderr)
+        sys.stdout.write(write(report))
         return EXIT_OK if report.all_ok else EXIT_VERIFICATION
 
-    _require_format(ns.format, "text", "json")
+    def text(a, cons, k_value, chk):
+        shown = f" = {k_value}" if str(k_value) != _factored_str(cons) else ""
+        return _lines(
+            f"k = {_factored_str(cons)}{shown} ({cons.bit_estimate} bits)",
+            f"ladder satisfied: {cons.satisfies_ladder()}",
+            f"exact condition 10^k = 1 (mod 9k): {chk.exact}",
+            f"strict condition 10^k = 1 (mod 9ka), a={a}: {chk.strict}",
+            f"the k-digit repdigit of {a}s {'is' if chk.exact else 'is not'} a Niven number",
+        )
+
+    def json(a, cons, k_value, chk):
+        return to_json_text({
+            "a": a,
+            "k_factored": _factored_str(cons),
+            "k": k_value,
+            "k_bits": cons.bit_estimate,
+            "ladder_satisfied": cons.satisfies_ladder(),
+            "exact": chk.exact,
+            "strict": chk.strict,
+            "is_niven": chk.exact,
+        })
+
+    write = _writer(ns, text=text, json=json)
     a = 1 if ns.a is None else ns.a
     if not 1 <= a <= 9:
         raise UsageError("--a must be a digit 1..9")
@@ -315,85 +348,68 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
     except OverflowError as exc:  # k above K_BIT_CAP, refused before any work
         raise UsageError(str(exc)) from exc
     chk = repdigit_niven_check(a, k_value)
-    if ns.format == "json":
-        obj = {
-            "a": a,
-            "k_factored": _factored_str(cons),
-            "k": k_value,
-            "k_bits": cons.bit_estimate,
-            "ladder_satisfied": cons.satisfies_ladder(),
-            "exact": chk.exact,
-            "strict": chk.strict,
-            "is_niven": chk.exact,
-        }
-        sys.stdout.write(to_json_text(obj))
-    else:
-        shown = f" = {k_value}" if str(k_value) != _factored_str(cons) else ""
-        print(f"k = {_factored_str(cons)}{shown} ({cons.bit_estimate} bits)")
-        print(f"ladder satisfied: {cons.satisfies_ladder()}")
-        print(f"exact condition 10^k = 1 (mod 9k): {chk.exact}")
-        print(f"strict condition 10^k = 1 (mod 9ka), a={a}: {chk.strict}")
-        verdict = "is" if chk.exact else "is not"
-        print(f"the k-digit repdigit of {a}s {verdict} a Niven number")
+    sys.stdout.write(write(a, cons, k_value, chk))
     return EXIT_OK if chk.exact else EXIT_VERIFICATION
 
 
 def _cmd_order(ns: argparse.Namespace) -> int:
-    _require_format(ns.format, "text", "json")
+    write = _writer(
+        ns,
+        text=lambda t: f"multiplicative order of 10 modulo {ns.m}: {t}\n",
+        json=lambda t: to_json_text({"base": 10, "modulus": ns.m, "order": t}),
+    )
     if ns.m < 1:
         raise UsageError("--m must be >= 1")
-    t = multiplicative_order(10, ns.m)
-    if ns.format == "json":
-        sys.stdout.write(to_json_text({"base": 10, "modulus": ns.m, "order": t}))
-    else:
-        print(f"multiplicative order of 10 modulo {ns.m}: {t}")
+    sys.stdout.write(write(multiplicative_order(10, ns.m)))
     return EXIT_OK
 
 
 def _cmd_census(ns: argparse.Namespace) -> int:
-    _require_format(ns.format, "text", "json", "csv")
+    write = _writer(
+        ns,
+        text=lambda result: _lines(
+            f"PINNs <= {ns.max}: {result.pinn_count}",
+            f"Niven numbers <= {ns.max}: {result.niven_count}",
+            *(f"  digit sum {s}: {c}" for s, c in sorted(result.digit_sum_histogram.items())),
+        ),
+        json=lambda result: to_json_text({
+            "max_value": ns.max,
+            "pinn_count": result.pinn_count,
+            "niven_count": result.niven_count,
+            "digit_sum_histogram": {str(s): c for s, c in result.digit_sum_histogram.items()},
+        }),
+        csv=lambda result: csv_text(
+            ["digit_sum", "count"], sorted(result.digit_sum_histogram.items())
+        ),
+    )
     if not 1 <= ns.max <= CENSUS_MAX:
         raise UsageError(f"--max must be in 1..{CENSUS_MAX}")
-    result = census(ns.max)
-    if ns.format == "json":
-        sys.stdout.write(to_json_text(census_to_obj(result, ns.max)))
-    elif ns.format == "csv":
-        sys.stdout.write(
-            csv_text(
-                ["digit_sum", "count"],
-                sorted(result.digit_sum_histogram.items()),
-            )
-        )
-    else:
-        print(f"PINNs <= {ns.max}: {result.pinn_count}")
-        print(f"Niven numbers <= {ns.max}: {result.niven_count}")
-        for s, c in sorted(result.digit_sum_histogram.items()):
-            print(f"  digit sum {s}: {c}")
+    sys.stdout.write(write(census(ns.max)))
     return EXIT_OK
 
 
 def _cmd_probe(ns: argparse.Namespace) -> int:
-    _require_format(ns.format, "text", "json")
-    with _user_input():
-        probe = zero_insertion_probe(ns.number, ns.position, ns.zeros)
-    modulus = digit_sum_of(parse_number(ns.number))
-    if ns.format == "json":
-        obj = {
+    # the modulus is the base's digit sum, which the inserted zeros leave unchanged
+    write = _writer(
+        ns,
+        text=lambda probe: (
+            f"{format_number(probe.modified)}: residue {probe.residue} "
+            f"(mod {digit_sum_of(probe.modified)}), "
+            f"{'Niven' if probe.is_niven else 'not Niven'}\n"
+        ),
+        json=lambda probe: to_json_text({
             "base": ns.number,
             "position": ns.position,
             "zeros": ns.zeros,
             "modified": format_number(probe.modified),
-            "modulus": modulus,
+            "modulus": digit_sum_of(probe.modified),
             "residue": probe.residue,
             "is_niven": probe.is_niven,
-        }
-        sys.stdout.write(to_json_text(obj))
-    else:
-        verdict = "Niven" if probe.is_niven else "not Niven"
-        print(
-            f"{format_number(probe.modified)}: residue {probe.residue} "
-            f"(mod {modulus}), {verdict}"
-        )
+        }),
+    )
+    with _user_input():
+        probe = zero_insertion_probe(ns.number, ns.position, ns.zeros)
+    sys.stdout.write(write(probe))
     return EXIT_OK if probe.is_niven else EXIT_VERIFICATION
 
 

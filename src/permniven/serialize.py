@@ -1,4 +1,7 @@
-"""Machine-readable output: JSON (round-trips), CSV, and b-file lines.
+"""Writers shared by the command line's output formats: JSON text, CSV,
+b-file lines, the search report (whose JSON round-trips) and the repdigit
+grid.  Each command's own output objects are built where its writers are,
+in ``cli``.
 
 Every JSON text is exactly what ``json.dumps(obj, indent=2,
 sort_keys=True)`` writes, and a newline.  ``to_json_text`` writes it by one
@@ -22,10 +25,9 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .digits import _format_runs, multiset_count
-from .families import FamilyInstance
 from .orbits import CriterionProof, FailureWitness, PinnRecord
 from .repdigits import CONJECTURE_PRIMES, GridReport
-from .search import CensusResult, SearchConfig, SearchReport, search
+from .search import SearchConfig, SearchReport, search
 
 __all__ = [
     "bfile_text",
@@ -186,18 +188,7 @@ def bfile_text(values: Iterable[int] | Iterable[str]) -> str:
     )
 
 
-# --- one-way views for the CLI -------------------------------------------------------
-
-def family_instances_to_obj(instances: Iterable[FamilyInstance]) -> list[dict[str, Any]]:
-    return [
-        {
-            "template": inst.template_id,
-            "k": inst.k,
-            "members": [_format_runs(m.runs) for m in inst.members],
-        }
-        for inst in instances
-    ]
-
+# --- the repdigit grid -------------------------------------------------------------
 
 # The grid's JSON has one fixed shape, so each entry is one %-format of a
 # template instead of a walk over a dict per entry.  The exponents are read
@@ -240,14 +231,3 @@ def grid_report_to_json(report: GridReport) -> str:
         _JSON_BOOL[report.all_ok], report.bit_cap, *_grid_exponents(report.bounds),
         f"[\n    {entries}\n  ]" if entries else "[]", report.skipped_over_cap,
     )
-
-
-def census_to_obj(result: CensusResult, max_value: int) -> dict[str, Any]:
-    return {
-        "max_value": max_value,
-        "pinn_count": result.pinn_count,
-        "niven_count": result.niven_count,
-        "digit_sum_histogram": {
-            str(s): c for s, c in result.digit_sum_histogram.items()
-        },
-    }

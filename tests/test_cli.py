@@ -153,6 +153,43 @@ def test_check_refuses_value_list_formats(capsys):
     assert run(["check", "2448", "--format", "csv"]) == 2
 
 
+# every command or repdigit mode with a format it has no writer for, and the
+# library call that must not run before the refusal
+_REFUSALS = [
+    (["check", "2448"], "decide_pinn", "text, json", ["csv", "bfile"]),
+    (["repdigit", "--grid"], "verify_conjecture_grid", "text, json, csv", ["bfile"]),
+    (["repdigit", "--n", "1"], "repdigit_niven_check", "text, json", ["csv", "bfile"]),
+    (["order", "--m", "7"], "multiplicative_order", "text, json", ["csv", "bfile"]),
+    (["census", "--max", "999"], "census", "text, json, csv", ["bfile"]),
+    (["probe-zero-insertion", "18", "1", "1"], "zero_insertion_probe", "text, json",
+     ["csv", "bfile"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, entry, allowed",
+    [
+        (argv, entry, allowed)
+        for base, entry, allowed, refused in _REFUSALS
+        for fmt in refused
+        for argv in (["--format", fmt, *base], [*base, "--format", fmt])
+    ],
+)
+def test_a_format_without_a_writer_is_refused_before_any_work(capsys, monkeypatch, argv,
+                                                              entry, allowed):
+    import permniven.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{entry} ran before the format was refused")
+
+    monkeypatch.setattr(cli, entry, must_not_run)
+    fmt = argv[argv.index("--format") + 1]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: format {fmt!r} is not valid here (choose from {allowed})\n"
+
+
 def test_search_text_and_bfile(capsys):
     assert run(["search", "--k", "2"]) == 0
     first = capsys.readouterr()
@@ -193,6 +230,17 @@ def test_families_listing_and_verify(capsys):
     assert "10_(11)" in out
     assert run(["families", "--k", "12", "--verify"]) == 0
     assert "verified: all 87 members" in capsys.readouterr().out
+
+
+def test_families_and_catalog_json_use_block_notation(capsys):
+    assert run(["families", "--k", "12", "--format", "json"]) == 0
+    ka = [f for f in json.loads(capsys.readouterr().out)["families"] if f["template"] == "ka"]
+    assert len(ka) == 1
+    assert ka[0]["k"] == 12
+    assert ka[0]["members"][0] == "10_(11)"
+    assert run(["catalog", "--k", "2", "--format", "json"]) == 0
+    groups = json.loads(capsys.readouterr().out)["families"]
+    assert [g["template"] for g in groups] == ["N21", "N22"]
 
 
 def test_families_never_expands_a_member(capsys):
@@ -366,6 +414,14 @@ def test_census(capsys):
     assert run(["census", "--max", "999", "--format", "bfile"]) == 2
     assert run(["census", "--max", str(10**18 + 1)]) == 2
     assert run(["census", "--max", "0"]) == 2
+
+
+def test_census_json(capsys):
+    assert run(["census", "--max", "999", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["pinn_count"] == 114
+    assert obj["max_value"] == 999
+    assert sum(obj["digit_sum_histogram"].values()) == 114
 
 
 def test_census_at_the_cap_within_seconds(capsys):

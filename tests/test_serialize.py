@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from permniven import repdigits
 from permniven.digits import DigitMultiset, multiset_count
-from permniven.families import catalog, instantiate
 from permniven.orbits import PinnRecord, is_pinn_criterion
 from permniven.repdigits import (
     CONJECTURE_PRIMES,
@@ -23,12 +22,10 @@ from permniven.repdigits import (
     ConjectureConstraints,
     verify_conjecture_grid,
 )
-from permniven.search import SearchConfig, census, search
+from permniven.search import SearchConfig, search
 from permniven.serialize import (
     _record_to_obj,
     bfile_text,
-    census_to_obj,
-    family_instances_to_obj,
     grid_report_to_json,
     records_to_csv,
     report_from_json,
@@ -178,15 +175,6 @@ def test_bfile_lines():
     assert bfile_text(["18", "10", "12"]) == "1 10\n2 12\n3 18\n"
 
 
-def test_family_instances_to_obj_uses_block_notation():
-    objs = family_instances_to_obj([instantiate("ka", 12)])
-    assert objs[0]["template"] == "ka"
-    assert objs[0]["k"] == 12
-    assert objs[0]["members"][0] == "10_(11)"
-    objs = family_instances_to_obj(catalog(2))
-    assert [o["template"] for o in objs] == ["N21", "N22"]
-
-
 def _grid_report_obj(report):
     """The grid report as the object the grid's JSON text writes."""
     names = tuple(CONJECTURE_PRIMES)
@@ -231,15 +219,6 @@ def test_grid_report_json_with_skipped_and_failed_entries(monkeypatch):
         assert grid_report_to_json(r) == expected
     assert json.loads(grid_report_to_json(failed))["all_ok"] is False
     assert json.loads(grid_report_to_json(empty))["entries"] == []
-
-
-def test_census_to_obj():
-    result = census(999)
-    obj = census_to_obj(result, 999)
-    assert obj["pinn_count"] == 114
-    assert obj["max_value"] == 999
-    assert sum(obj["digit_sum_histogram"].values()) == 114
-    json.dumps(obj)
 
 
 # keys and strings that need escaping: quotes, backslashes, control and
