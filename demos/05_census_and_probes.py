@@ -8,7 +8,7 @@ Their digit sums are tightly constrained, and
 inserting zeros into a PINN at an interior position usually breaks it,
 as the residue probes show.
 """
-from permniven import census, digit_sum_of, parse_number, zero_insertion_probe
+from permniven import census, zero_insertion_probe
 
 for bound in (10**3, 10**4, 10**5, 10**6, 10**7, 10**9, 10**12):
     result = census(bound)
@@ -30,9 +30,8 @@ for s, c in result.digit_sum_histogram.items():
 print("\nzero-insertion probes on repunits:")
 for base, zeros in (("1_(27)", 1), ("1_(81)", 1), ("1_(111)", 1), ("1_(111)", 2)):
     probe = zero_insertion_probe(base, 1, zeros)
-    s = digit_sum_of(parse_number(base))
     print(
         f"  {base} with {zeros} zero(s) before the last digit: "
-        f"residue {probe.residue} (mod {s})"
+        f"residue {probe.residue} (mod {probe.modulus})"
     )
 print("(padding zeros at the end, by contrast, always preserves membership)")

@@ -25,17 +25,8 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
-from .catalogs import GROUP_CORES
-from .digits import (
-    DigitMultiset,
-    _format_runs,
-    _parse_runs,
-    digit_sum_of,
-    expand,
-    format_number,
-    parse_number,
-)
-from .families import FAMILY_IDS, KTooSmall, instantiate, verify_family
+from .digits import DigitMultiset, _format_runs, _parse_runs, expand
+from .families import FAMILY_IDS, KTooSmall, _core_width, instantiate, verify_family
 from .families import catalog as reference_catalog
 from .numtheory import FactorizationTimeout, NotCoprime, multiplicative_order
 from .orbits import BudgetExceeded, decide_pinn
@@ -223,12 +214,11 @@ def _instances_writer(ns: argparse.Namespace) -> Callable[..., str]:
 
 def _cmd_families(ns: argparse.Namespace) -> int:
     write = _instances_writer(ns)
-    try:
-        instances = [instantiate(fid, ns.k) for fid in FAMILY_IDS]
-    except KTooSmall:
-        # name the width all ten need, not the first family that does not fit
-        widest = max(len(parse_number(group[0])) for group in GROUP_CORES)
-        raise UsageError(f"the ten families need k >= {widest + 1}, got {ns.k}") from None
+    # name the width all ten need, not the first family that does not fit
+    need = 1 + max(map(_core_width, range(len(FAMILY_IDS))))
+    if ns.k < need:
+        raise UsageError(f"the ten families need k >= {need}, got {ns.k}")
+    instances = [instantiate(fid, ns.k) for fid in FAMILY_IDS]
     failures = None
     if ns.verify:
         failures = []
@@ -389,20 +379,18 @@ def _cmd_census(ns: argparse.Namespace) -> int:
 
 
 def _cmd_probe(ns: argparse.Namespace) -> int:
-    # the modulus is the base's digit sum, which the inserted zeros leave unchanged
     write = _writer(
         ns,
         text=lambda probe: (
-            f"{format_number(probe.modified)}: residue {probe.residue} "
-            f"(mod {digit_sum_of(probe.modified)}), "
+            f"{probe.modified}: residue {probe.residue} (mod {probe.modulus}), "
             f"{'Niven' if probe.is_niven else 'not Niven'}\n"
         ),
         json=lambda probe: to_json_text({
             "base": ns.number,
             "position": ns.position,
             "zeros": ns.zeros,
-            "modified": format_number(probe.modified),
-            "modulus": digit_sum_of(probe.modified),
+            "modified": probe.modified,
+            "modulus": probe.modulus,
             "residue": probe.residue,
             "is_niven": probe.is_niven,
         }),

@@ -3,11 +3,14 @@
 Numbers are handled as digit sequences and digit multisets, never as machine
 integers, so lengths far beyond 64-bit value range are fine.  A digit string
 is an ordinary ``str`` of characters ``0``..``9``, most significant digit
-first; ``value_mod`` reduces it by Horner's rule, digit by digit.  A digit
-multiset is the order-free content of such a string and is the identity that
-matters for permutation-invariance questions.  Its canonical arrangement is
-at most ten runs, and ``DigitMultiset.canonical_mod`` reduces it run by run,
-in O(10 log k) for width k, without building the string.
+first; ``value_mod`` reduces it by Horner's rule, digit by digit.  Between
+the input text and a residue, digits are held as (digit, count) runs:
+``_parse_runs`` reads them from the text, ``_runs_mod`` reduces them run by
+run, in O(log k) per run for width k, without building the string, and
+``_format_runs`` writes them back.  A digit multiset is the order-free
+content of a number and is the identity that matters for
+permutation-invariance questions; its canonical arrangement is at most ten
+runs.
 
 Rep-block notation compresses runs: ``1_(26)01`` means twenty-six ones
 followed by ``01``.  Runs of three or more render in block form, shorter
@@ -22,16 +25,20 @@ from math import comb
 
 __all__ = [
     "DigitMultiset",
-    "compress",
     "digit_sum_of",
     "expand",
-    "format_number",
     "multiset_count",
     "parse_number",
     "value_mod",
 ]
 
-_BLOCK_RE = re.compile(r"(\d)(?:_\((\d+)\))?", re.ASCII)
+# A run of one digit whose last copy may carry a repeat count, so plain
+# digits cost one match per run.  One alternative per digit: a
+# backreference, (\d)\1*, keeps state for every repeat, about 76 MB on a
+# run of 10^6 digits.
+_BLOCK_RE = re.compile(
+    "(" + "|".join(f"{d}+" for d in "0123456789") + r")(?:_\((\d+)\))?", re.ASCII
+)
 
 
 def _check_digit_string(s: str) -> None:
@@ -75,21 +82,9 @@ def expand(blocks: tuple[tuple[int, int], ...]) -> str:
     return "".join(out)
 
 
-# One alternative per digit.  A backreference, (\d)\1*, keeps state for
-# every repeat: about 76 MB on a run of 10^6 digits.
-_RUN_RE = re.compile("|".join(f"{d}+" for d in "0123456789"))
-
-
-def compress(s: str) -> tuple[tuple[int, int], ...]:
-    """Inverse of expand: canonical run-length blocks (adjacent digits differ)."""
-    _check_digit_string(s)
-    return tuple(
-        (ord(s[m.start()]) - 48, m.end() - m.start()) for m in _RUN_RE.finditer(s)
-    )
-
-
 def _parse_runs(text: str) -> tuple[tuple[int, int], ...]:
-    """``compress(parse_number(text))``, without expanding the digits."""
+    """The maximal (digit, count) runs of the number text names, adjacent
+    digits distinct, read from the text without expanding the digits."""
     text = text.strip()
     if not text:
         raise ValueError("empty number")
@@ -99,12 +94,13 @@ def _parse_runs(text: str) -> tuple[tuple[int, int], ...]:
         m = _BLOCK_RE.match(text, pos)
         if not m:
             raise ValueError(f"bad rep-block syntax at {text[pos:]!r}")
-        d = int(m.group(1))
-        n = int(m.group(2)) if m.group(2) else 1
-        if n < 1:
+        d = ord(text[pos]) - 48
+        count = int(m.group(2)) if m.group(2) else 1
+        if count < 1:
             raise ValueError("zero repeat count")
-        if n > sys.maxsize:
+        if count > sys.maxsize:
             raise ValueError(f"repeat count above {sys.maxsize}")
+        n = m.end(1) - pos - 1 + count
         if runs and runs[-1][0] == d:
             n += runs.pop()[1]
         runs.append((d, n))
@@ -121,12 +117,21 @@ def parse_number(text: str) -> str:
 
 
 def _format_runs(runs: tuple[tuple[int, int], ...]) -> str:
+    """Rep-block text of the runs: d_(n) for a run of three or more."""
     return "".join(f"{d}_({n})" if n >= 3 else str(d) * n for d, n in runs)
 
 
-def format_number(s: str) -> str:
-    """Render a digit string with runs of three or more as d_(n)."""
-    return _format_runs(compress(s))
+def _runs_mod(runs: tuple[tuple[int, int], ...], m: int) -> int:
+    """``value_mod(expand(runs), m)``, run by run: appending c copies of d
+    to r gives r * 10^c + d * (10^c - 1) / 9.  With x = 10^c mod 9m,
+    (x - 1) / 9 is (10^c - 1) / 9 mod m."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    r = 0
+    for d, c in runs:
+        x = pow(10, c, 9 * m)
+        r = (r * x + d * (x - 1) // 9) % m
+    return r
 
 
 # --- multisets ---------------------------------------------------------------
@@ -165,19 +170,6 @@ class DigitMultiset:
     def canonical(self) -> str:
         """Digits sorted descending: the largest arrangement, never zero-led."""
         return "".join(str(d) * self.counts[d] for d in range(9, -1, -1))
-
-    def canonical_mod(self, m: int) -> int:
-        """``value_mod(self.canonical, m)``, run by run: appending c copies
-        of d to r gives r * 10^c + d * (10^c - 1) / 9.  With x = 10^c mod 9m,
-        (x - 1) / 9 is (10^c - 1) / 9 mod m."""
-        if m < 1:
-            raise ValueError("modulus must be positive")
-        r = 0
-        for d in range(9, -1, -1):
-            if c := self.counts[d]:
-                x = pow(10, c, 9 * m)
-                r = (r * x + d * (x - 1) // 9) % m
-        return r
 
     @property
     def orbit_size(self) -> int:

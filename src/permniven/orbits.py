@@ -12,7 +12,8 @@ its own reasoning:
 * ``is_pinn_criterion`` checks a pair of congruence conditions that are
   exactly equivalent: transpositions generate the symmetric group, condition
   (a) pins all arrangements to one residue class mod the digit sum, and
-  condition (b) anchors that class at zero.  Condition (a) reduces to all
+  condition (b) anchors that class at zero, which ``digits._runs_mod``
+  checks on the canonical arrangement's runs.  Condition (a) reduces to all
   present digits agreeing modulo ``class_modulus(s, k)``, which the search
   scan uses to enumerate candidate classes directly.
 * ``is_pinn_residue_count`` counts the arrangements in each residue class
@@ -32,7 +33,7 @@ from itertools import product
 from math import gcd, prod
 from typing import Iterator
 
-from .digits import DigitMultiset, value_mod
+from .digits import DigitMultiset, _runs_mod, expand, value_mod
 from .repdigits import repdigit_niven_check
 
 __all__ = [
@@ -142,8 +143,8 @@ def is_pinn_criterion(m: DigitMultiset) -> tuple[bool, CriterionProof]:
         u == v (mod s / gcd(s, 10^d - 1)) for every d < k.  Since 9 divides
         every 10^d - 1, gap 1 binds: all present digits are congruent
         modulo T = s / gcd(s, 9) (T = 1 when k = 1, which has no gaps);
-    (b) the canonical arrangement is divisible by s, which
-        ``DigitMultiset.canonical_mod`` decides from its runs.
+    (b) the canonical arrangement is divisible by s, which ``_runs_mod``
+        decides from its runs.
 
     The proof lists the digit pairs checked and the gaps they cover, as a
     range: a pair that passes covers every gap 1..k-1, and a pair that fails
@@ -164,7 +165,7 @@ def is_pinn_criterion(m: DigitMultiset) -> tuple[bool, CriterionProof]:
                     position_gaps_checked=gaps if len(pairs) > 1 else range(1, 2),
                     base_residue=-1,
                 )
-    base = m.canonical_mod(s)
+    base = _runs_mod(m.runs, s)
     return base == 0, CriterionProof(
         digit_pairs_checked=tuple(pairs),
         position_gaps_checked=gaps,
@@ -196,10 +197,10 @@ def is_pinn_residue_count(
     orbit_size = m.orbit_size
     digits = m.present_digits[::-1]
     radices = [m.counts[d] + 1 for d in digits]
-    top = prod(radices) - 1
-    size = (top + 1) * s
+    size = residue_table_size(m)
     if size > budget:
         raise BudgetExceeded(f"residue table {size} exceeds budget {budget}")
+    top = prod(radices) - 1
     strides = [prod(radices[i + 1:]) for i in range(len(digits))]
     powers = [pow(10, e, s) for e in range(m.k)]
     # The unused counts index the states in mixed radix, the first digit
@@ -288,13 +289,12 @@ def decide_pinn(m: DigitMultiset) -> tuple[bool, CriterionProof | FailureWitness
       front, which keep its value.  A digit sum above 81 would contradict
       the criterion, so then nothing is capped.
 
-    A "no" carries a witness, found from the runs in O(10 log k) and only
-    then written out: the canonical arrangement when its residue is the
-    defect; for a failed pair u > v, the rest of the digits descending and
-    then vu or uv, whichever is not divisible (they differ by 9(u - v),
-    which the digit sum does not divide; each has the residue
-    rest * 100 + 10a + b for its last digits a, b); the lifted DP witness
-    when only the DP says no.  Raises ArithmeticError when both
+    A "no" carries a witness, found from the runs by ``_runs_mod`` in
+    O(10 log k) and only then written out: the canonical arrangement when
+    its residue is the defect; for a failed pair u > v, the rest of the
+    digits descending and then vu or uv, whichever is not divisible (they
+    differ by 9(u - v), which the digit sum does not divide); the lifted
+    DP witness when only the DP says no.  Raises ArithmeticError when both
     arrangements of the failed pair divide, and BudgetExceeded when the DP's
     table passes DEFAULT_ORBIT_BUDGET, which only a wrong criterion allows.
     """
@@ -319,16 +319,14 @@ def decide_pinn(m: DigitMultiset) -> tuple[bool, CriterionProof | FailureWitness
         return False, FailureWitness(lifted, witness.residue), True
     if proof.base_residue > 0:
         return False, FailureWitness(m.canonical, proof.base_residue), False
-    s = m.digit_sum
     u, v = proof.digit_pairs_checked[-1]
     counts = list(m.counts)
     counts[u] -= 1
     counts[v] -= 1
-    rest = DigitMultiset(tuple(counts)).canonical_mod(s) if any(counts[1:]) else 0
+    rest = tuple((d, c) for d in range(9, -1, -1) if (c := counts[d]))
     for a, b in ((v, u), (u, v)):
-        r = (rest * 100 + 10 * a + b) % s
-        if r:
-            digits = "".join(str(d) * counts[d] for d in range(9, -1, -1))
-            return False, FailureWitness(f"{digits}{a}{b}", r), False
+        runs = (*rest, (a, 1), (b, 1))
+        if r := _runs_mod(runs, m.digit_sum):
+            return False, FailureWitness(expand(runs), r), False
     raise ArithmeticError(f"the criterion rejects digits {u} and {v} of {m}, "
                           "but both arrangements ending in them divide")

@@ -17,17 +17,21 @@ prime p has 10^ord_p(10) == 1 (mod p^2), so ord_{p^e}(10) = ord_p(10) *
 p^(e-1).  verify_conjecture_grid checks both directions, one prime power
 of 9k at a time: ladder-satisfying tuples must pass the exact condition,
 minimal ladder violations must fail it.
+
+zero_insertion_probe splices zeros into a number's (digit, count) runs and
+reduces the result with ``digits._runs_mod``, so its cost does not grow
+with the width.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from math import prod
-from operator import attrgetter, getitem
+from operator import attrgetter, getitem, itemgetter
 from typing import NamedTuple
 
-from .digits import digit_sum_of, parse_number, value_mod
+from .digits import _format_runs, _parse_runs, _runs_mod
 from .numtheory import probable_prime
 
 __all__ = [
@@ -369,28 +373,38 @@ def exact_condition_sweep(limit: int) -> list[int]:
 # --- zero insertion ---------------------------------------------------------------
 
 class ZeroInsertionProbe(NamedTuple):
-    modified: str  # digit string after insertion
-    residue: int  # value of the modified string mod the original digit sum
+    modified: str  # rep-block text of the number after insertion
+    modulus: int  # the base's digit sum, which the inserted zeros leave unchanged
+    residue: int  # value of the modified number mod the modulus
     is_niven: bool
 
 
 def zero_insertion_probe(base: str, position: int, zeros: int) -> ZeroInsertionProbe:
     """Insert zeros into a number `position` digits before its end.
 
-    The residue is taken modulo the base's digit sum, which the inserted
-    zeros leave unchanged, so is_niven is simply residue == 0.
+    The number stays in runs: the cut splits the run it falls in, and the
+    zeros merge with any zeros they touch, so ``modified`` is the rep-block
+    text of the result (``100`` with one zero at the end is ``10_(3)``).
+    is_niven is simply residue == 0.
     """
-    digits = parse_number(base)
-    if not 0 <= position <= len(digits):
-        raise ValueError(f"position must be 0..{len(digits)}")
+    runs = _parse_runs(base)
+    width = sum(n for _, n in runs)
+    if not 0 <= position <= width:
+        raise ValueError(f"position must be 0..{width}")
     if zeros < 1:
         raise ValueError("insert at least one zero")
-    modulus = digit_sum_of(digits)
+    modulus = sum(d * n for d, n in runs)
     if modulus == 0:
         raise ValueError(f"the digit sum of {base} is 0, so no residue is defined")
-    cut = len(digits) - position
-    modified = digits[:cut] + "0" * zeros + digits[cut:]
-    residue = value_mod(modified, modulus)
-    return ZeroInsertionProbe(
-        modified=modified, residue=residue, is_niven=residue == 0
+    head, tail, left = [], [], width - position
+    for d, n in runs:
+        kept = min(n, left)
+        head.append((d, kept))
+        tail.append((d, n - kept))
+        left -= kept
+    spliced = [run for run in (*head, (0, zeros), *tail) if run[1]]
+    runs = tuple(
+        (d, sum(n for _, n in group)) for d, group in groupby(spliced, itemgetter(0))
     )
+    residue = _runs_mod(runs, modulus)
+    return ZeroInsertionProbe(_format_runs(runs), modulus, residue, residue == 0)

@@ -115,11 +115,10 @@ def _record_to_obj(rec: PinnRecord) -> dict[str, Any]:
 # --- search reports ----------------------------------------------------------------
 
 def _report_to_obj(report: SearchReport) -> dict[str, Any]:
-    stage1 = report.stage1_count
     return {
         "k": report.k,
-        "stage1_count": stage1,
-        "stage2_count": len(report.records) - stage1,
+        "stage1_count": report.stage1_count,
+        "stage2_count": report.stage2_count,
         "multisets_scanned": report.multisets_scanned,
         "records": [_record_to_obj(r) for r in report.records],
     }

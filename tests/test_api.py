@@ -30,13 +30,11 @@ EXPORTS = [
     "bfile_text",
     "catalog",
     "census",
-    "compress",
     "decide_pinn",
     "digit_sum_of",
     "exact_condition_sweep",
     "expand",
     "factorize",
-    "format_number",
     "instantiate",
     "is_niven",
     "is_pinn_bruteforce",

@@ -444,6 +444,28 @@ def test_probe(capsys):
     assert "digit sum of 000 is 0" in capsys.readouterr().err
 
 
+def test_probe_never_expands_its_input(capsys):
+    # ten billion ones: the cut splits a run, and the residue comes from the
+    # runs, so no string of the number's width is built
+    tracemalloc.start()
+    try:
+        assert run(["probe-zero-insertion", "1_(10000000000)2", "5", "3", "--format", "json"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    obj = json.loads(capsys.readouterr().out)
+    # 1_(N - 4), three zeros, then 11112: R(N - 4) * 10^8 + 11112 with
+    # R(n) = (10^n - 1) / 9, reduced mod the digit sum N + 2
+    n = 10**10
+    s = n + 2
+    repunit = (pow(10, n - 4, 9 * s) - 1) // 9
+    assert obj["modified"] == "1_(9999999996)0_(3)1_(4)2"
+    assert obj["modulus"] == s
+    assert obj["residue"] == (repunit * 10**8 + 11112) % s
+    assert obj["is_niven"] is False
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from permniven.digits import (
     DigitMultiset,
+    _format_runs,
     _parse_runs,
-    compress,
+    _runs_mod,
     digit_sum_of,
     expand,
-    format_number,
     multiset_count,
     parse_number,
     value_mod,
@@ -41,22 +41,23 @@ def test_value_mod_requires_positive_modulus():
     with pytest.raises(ValueError):
         value_mod("12", 0)
     with pytest.raises(ValueError):
-        DigitMultiset.from_string("12").canonical_mod(0)
+        _runs_mod(((1, 1), (2, 1)), 0)
 
 
 def test_expand_compress_round_trip():
+    # digits to runs and back: the parser reads a plain digit string too
     rng = random.Random(11)
     for _ in range(200):
         s = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 40)))
-        assert expand(compress(s)) == s
-    # compress yields maximal runs: adjacent blocks always differ
-    for s in ("1000", "999911", "10101"):
-        blocks = compress(s)
+        assert expand(_parse_runs(s)) == s
+    # the runs are maximal: adjacent blocks always differ
+    for s in ("1000", "999911", "10101", "1_(3)1_(2)0"):
+        blocks = _parse_runs(s)
         assert all(a[0] != b[0] for a, b in zip(blocks, blocks[1:]))
 
 
 def reference_compress(s: str) -> tuple[tuple[int, int], ...]:
-    """The per-character loop that ``compress`` replaced."""
+    """The maximal runs of a digit string, one character at a time."""
     blocks: list[tuple[int, int]] = []
     for ch in s:
         d = int(ch)
@@ -79,15 +80,32 @@ def test_compress_and_format_match_the_per_character_loop():
     for _ in range(300):
         alphabet = rng.choice(["0123456789", "01", "7", "90"])
         s = "".join(rng.choice(alphabet) * rng.randint(1, 5) for _ in range(rng.randint(1, 30)))
-        assert compress(s) == reference_compress(s), s
-        assert format_number(s) == reference_format(s), s
-        # the rep-block parser gives the same runs without expanding them
-        assert _parse_runs(format_number(s)) == compress(s), s
+        runs = reference_compress(s)
+        assert _parse_runs(s) == runs, s
+        assert _format_runs(runs) == reference_format(s), s
+        # the rep-block text reads back as the same runs, unexpanded
+        assert _parse_runs(reference_format(s)) == runs, s
     run = "7" * 10**6
-    assert compress(run) == reference_compress(run) == ((7, 10**6),)
-    assert format_number(run) == reference_format(run) == "7_(1000000)"
+    assert _parse_runs(run) == reference_compress(run) == ((7, 10**6),)
+    assert _format_runs(_parse_runs(run)) == reference_format(run) == "7_(1000000)"
     # blocks of one digit written apart are one run
     assert _parse_runs("1_(3)110_(2)") == ((1, 5), (0, 2))
+
+
+def test_runs_mod_equals_horner_on_the_expanded_digits():
+    rng = random.Random(23)
+    for case in range(300):
+        runs = tuple(
+            (rng.randrange(10), rng.choice([1, 2, rng.randint(1, 50), rng.randint(1, 2000)]))
+            for _ in range(rng.randint(1, 8))
+        )
+        if case % 3 == 0:
+            runs = ((0, rng.randint(1, 20)), *runs)  # a leading zero run
+        # a few runs of up to 10^6 digits, which Horner still reads in time
+        if case % 60 == 0:
+            runs = (*runs, (rng.randrange(10), rng.randint(10**5, 10**6)), (0, 10**6))
+        m = rng.choice([1, 2, 7, 9, 81, rng.randint(1, 10**6), rng.randint(1, 10**18)])
+        assert _runs_mod(runs, m) == value_mod(expand(runs), m), (runs, m)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -98,7 +116,7 @@ def test_compress_and_format_match_the_per_character_loop():
 def test_canonical_mod_by_runs_equals_horner(counts, modulus):
     assume(any(counts[1:]))
     m = DigitMultiset(tuple(counts))
-    assert m.canonical_mod(modulus) == value_mod(m.canonical, modulus)
+    assert _runs_mod(m.runs, modulus) == value_mod(m.canonical, modulus)
 
 
 def test_expand_validates_blocks():
@@ -136,9 +154,9 @@ def test_format_number_round_trips_through_parse():
     rng = random.Random(13)
     for _ in range(200):
         s = "".join(rng.choice("012") for _ in range(rng.randint(1, 25)))
-        assert parse_number(format_number(s)) == s
-    assert format_number("1000") == "10_(3)"
-    assert format_number("1100") == "1100"  # runs below three stay literal
+        assert parse_number(_format_runs(reference_compress(s))) == s
+    assert _format_runs(_parse_runs("1000")) == "10_(3)"
+    assert _format_runs(_parse_runs("1100")) == "1100"  # runs below three stay literal
 
 
 def test_multiset_from_string():

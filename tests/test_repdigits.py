@@ -3,18 +3,20 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import product
 
 import pytest
 
 from permniven import repdigits
-from permniven.digits import value_mod
+from permniven.digits import digit_sum_of, parse_number, value_mod
 from permniven.numtheory import multiplicative_order, probable_prime
 from permniven.repdigits import (
     CONJECTURE_PRIMES,
     DEFAULT_GRID_BOUNDS,
     DISTINGUISHED_PRIMES,
     ConjectureConstraints,
+    ZeroInsertionProbe,
     exact_condition_sweep,
     repdigit_niven_check,
     verify_conjecture_grid,
@@ -381,6 +383,7 @@ def test_sweep_members_satisfy_the_ladder_parameterization():
 def test_zero_insertion_probe_mechanics():
     probe = zero_insertion_probe("18", 1, 2)
     assert probe.modified == "1008"
+    assert probe.modulus == 9
     assert probe.residue == 1008 % 9
     probe = zero_insertion_probe("18", 0, 1)
     assert probe.modified == "180"
@@ -389,6 +392,42 @@ def test_zero_insertion_probe_mechanics():
         zero_insertion_probe("18", 3, 1)
     with pytest.raises(ValueError):
         zero_insertion_probe("18", 1, 0)
+
+
+def reference_probe(base: str, position: int, zeros: int) -> ZeroInsertionProbe:
+    """The probe over the expanded digit string, sliced and reduced by
+    Horner's rule, with every run of three or more written as d_(n)."""
+    digits = parse_number(base)
+    assert 0 <= position <= len(digits) and zeros >= 1
+    cut = len(digits) - position
+    modified = digits[:cut] + "0" * zeros + digits[cut:]
+    modulus = digit_sum_of(digits)
+    residue = value_mod(modified, modulus)
+    text = re.sub(r"(\d)\1\1+", lambda run: f"{run[1]}_({len(run[0])})", modified)
+    return ZeroInsertionProbe(text, modulus, residue, residue == 0)
+
+
+def test_zero_insertion_probe_matches_the_expanded_reference():
+    rng = random.Random(29)
+    for _ in range(400):
+        runs = [(rng.choice("0123456789" if rng.random() < 0.5 else "019"),
+                 rng.choice([1, 2, 3, rng.randint(1, 60)]))
+                for _ in range(rng.randint(1, 6))]
+        if not any(d != "0" for d, _ in runs):
+            runs.append(("7", 2))
+        base = "".join(d if n == 1 else f"{d}_({n})" for d, n in runs)
+        width = sum(n for _, n in runs)
+        # the ends, and a cut inside or at the edge of a random run
+        j = rng.randrange(len(runs))
+        inside = sum(n for _, n in runs[j + 1:]) + rng.randint(0, runs[j][1])
+        for position in (0, width, inside):
+            zeros = rng.choice([1, 2, 3, rng.randint(1, 40)])
+            assert zero_insertion_probe(base, position, zeros) == reference_probe(
+                base, position, zeros
+            ), (base, position, zeros)
+    # zeros that touch zeros merge into one run
+    assert zero_insertion_probe("100", 0, 1).modified == "10_(3)"
+    assert zero_insertion_probe("0_(3)1", 1, 2).modified == "0_(5)1"
 
 
 def test_zero_insertion_known_residues():
