@@ -11,7 +11,6 @@ from permniven import (
     is_pinn_bruteforce,
     is_pinn_criterion,
     orbit,
-    parse_number,
 )
 
 m = DigitMultiset.from_string("2448")
@@ -41,6 +40,6 @@ print(f"\n13 is a PINN: {ok}")
 print(f"witness: {witness.permutation} leaves remainder {witness.residue} mod 4")
 
 # Rep-block notation abbreviates long runs: 1_(26)01 is 26 ones then 01.
-wide = DigitMultiset.from_string(parse_number("1_(26)01"))
+wide = DigitMultiset.from_string("1_(26)01")
 print(f"\n1_(26)01 has {wide.k} digits, digit sum {wide.digit_sum},")
 print(f"orbit size {wide.orbit_size}, criterion verdict {is_pinn_criterion(wide)[0]}")

@@ -11,7 +11,6 @@ from permniven import (
     DigitMultiset,
     decide_pinn,
     instantiate,
-    parse_number,
     verify_family,
 )
 from permniven.catalogs import GROUP_CORES
@@ -33,6 +32,6 @@ print(f"\nke at k=20: {sum(ok for _, ok, _ in results)}/{len(results)} verified"
 # The padding law: every core of every family stays a PINN with 1..6 zeros
 # added.  Past six zeros the verdict no longer changes (the README's zero
 # reduction), so these checks cover every width.
-cores = [DigitMultiset.from_string(parse_number(c)) for group in GROUP_CORES for c in group]
+cores = [DigitMultiset.from_string(c) for group in GROUP_CORES for c in group]
 padded = all(decide_pinn(m.with_zeros(z))[0] for m in cores for z in range(1, 7))
 print(f"all {len(cores)} cores stay PINNs with 1..6 zeros added: {padded}")

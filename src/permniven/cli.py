@@ -131,10 +131,7 @@ def _cmd_check(ns: argparse.Namespace) -> int:
     # in text never expands the digits
     with _user_input():
         runs = _parse_runs(ns.number)
-        counts = [0] * 10
-        for d, n in runs:
-            counts[d] += n
-        m = DigitMultiset(tuple(counts))
+        m = DigitMultiset._from_runs(runs)
     ok, proof, residue_counted = decide_pinn(m)
     sys.stdout.write(write(runs, m, ok, proof, residue_counted))
     return EXIT_OK if ok else EXIT_VERIFICATION

@@ -1,16 +1,14 @@
 """Digit-level data model.
 
 Numbers are handled as digit sequences and digit multisets, never as machine
-integers, so lengths far beyond 64-bit value range are fine.  A digit string
-is an ordinary ``str`` of characters ``0``..``9``, most significant digit
-first; ``value_mod`` reduces it by Horner's rule, digit by digit.  Between
-the input text and a residue, digits are held as (digit, count) runs:
-``_parse_runs`` reads them from the text, ``_runs_mod`` reduces them run by
-run, in O(log k) per run for width k, without building the string, and
-``_format_runs`` writes them back.  A digit multiset is the order-free
-content of a number and is the identity that matters for
-permutation-invariance questions; its canonical arrangement is at most ten
-runs.
+integers, so lengths far beyond 64-bit value range are fine.  Between the
+input text and a residue, digits are held as (digit, count) runs, most
+significant first: ``_parse_runs`` is the one reader of number text, plain
+or rep-block, ``_runs_mod`` reduces the runs run by run, in O(log k) per
+run for width k, without building the string, and ``_format_runs`` writes
+them back.  A digit multiset is the order-free content of a number and is
+the identity that matters for permutation-invariance questions; its
+canonical arrangement is at most ten runs.
 
 Rep-block notation compresses runs: ``1_(26)01`` means twenty-six ones
 followed by ``01``.  Runs of three or more render in block form, shorter
@@ -25,10 +23,8 @@ from math import comb
 
 __all__ = [
     "DigitMultiset",
-    "digit_sum_of",
     "expand",
     "multiset_count",
-    "parse_number",
     "value_mod",
 ]
 
@@ -39,31 +35,6 @@ __all__ = [
 _BLOCK_RE = re.compile(
     "(" + "|".join(f"{d}+" for d in "0123456789") + r")(?:_\((\d+)\))?", re.ASCII
 )
-
-
-def _check_digit_string(s: str) -> None:
-    # isdigit alone admits other scripts' digits, which value_mod misreads
-    if not s or not (s.isascii() and s.isdigit()):
-        raise ValueError(f"not a digit string: {s!r}")
-
-
-def digit_sum_of(s: str) -> int:
-    _check_digit_string(s)
-    return sum(map(int, s))
-
-
-def value_mod(s: str, m: int) -> int:
-    """Numeric value of the digit string reduced mod m, by Horner streaming.
-
-    Leading zeros contribute nothing, so no normalization is needed first.
-    """
-    _check_digit_string(s)
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    r = 0
-    for ch in s:
-        r = (r * 10 + (ord(ch) - 48)) % m
-    return r
 
 
 # --- rep-block notation -----------------------------------------------------
@@ -108,23 +79,15 @@ def _parse_runs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-def parse_number(text: str) -> str:
-    """Parse plain digits or rep-block notation into a digit string.
-
-    Grammar: block := digit ["_(" count ")"]; string := block+.
-    """
-    return expand(_parse_runs(text))
-
-
 def _format_runs(runs: tuple[tuple[int, int], ...]) -> str:
     """Rep-block text of the runs: d_(n) for a run of three or more."""
     return "".join(f"{d}_({n})" if n >= 3 else str(d) * n for d, n in runs)
 
 
 def _runs_mod(runs: tuple[tuple[int, int], ...], m: int) -> int:
-    """``value_mod(expand(runs), m)``, run by run: appending c copies of d
-    to r gives r * 10^c + d * (10^c - 1) / 9.  With x = 10^c mod 9m,
-    (x - 1) / 9 is (10^c - 1) / 9 mod m."""
+    """The value of the runs' digits mod m, run by run: appending c copies
+    of d to r gives r * 10^c + d * (10^c - 1) / 9.  With x = 10^c mod 9m,
+    (x - 1) / 9 is (10^c - 1) / 9 mod m.  Leading zeros add nothing."""
     if m < 1:
         raise ValueError("modulus must be positive")
     r = 0
@@ -132,6 +95,11 @@ def _runs_mod(runs: tuple[tuple[int, int], ...], m: int) -> int:
         x = pow(10, c, 9 * m)
         r = (r * x + d * (x - 1) // 9) % m
     return r
+
+
+def value_mod(text: str, m: int) -> int:
+    """Value mod m of the number the text names, plain digits or rep-block."""
+    return _runs_mod(_parse_runs(text), m)
 
 
 # --- multisets ---------------------------------------------------------------
@@ -149,9 +117,16 @@ class DigitMultiset:
             raise ValueError("all-zero multiset rejected")
 
     @classmethod
-    def from_string(cls, s: str) -> DigitMultiset:
-        _check_digit_string(s)
-        return cls(tuple(s.count(d) for d in "0123456789"))
+    def from_string(cls, text: str) -> DigitMultiset:
+        """The digits of the number the text names, plain digits or rep-block."""
+        return cls._from_runs(_parse_runs(text))
+
+    @classmethod
+    def _from_runs(cls, runs: tuple[tuple[int, int], ...]) -> DigitMultiset:
+        counts = [0] * 10
+        for d, n in runs:
+            counts[d] += n
+        return cls(tuple(counts))
 
     @property
     def k(self) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .catalogs import GROUP_CORES
-from .digits import DigitMultiset, parse_number
+from .digits import DigitMultiset
 from .orbits import (
     CriterionProof,
     FailureWitness,
@@ -56,7 +56,7 @@ class FamilyInstance:
 @cache
 def _parsed(texts: tuple[str, ...]) -> tuple[DigitMultiset, ...]:
     """The classes of a stored table row, parsed once."""
-    return tuple(DigitMultiset.from_string(parse_number(t)) for t in texts)
+    return tuple(DigitMultiset.from_string(t) for t in texts)
 
 
 def _cores(group: int) -> tuple[DigitMultiset, ...]:

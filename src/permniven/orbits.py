@@ -33,7 +33,7 @@ from itertools import product
 from math import gcd, prod
 from typing import Iterator
 
-from .digits import DigitMultiset, _runs_mod, expand, value_mod
+from .digits import DigitMultiset, _parse_runs, _runs_mod, expand
 from .repdigits import repdigit_niven_check
 
 __all__ = [
@@ -85,9 +85,11 @@ def orbit(m: DigitMultiset) -> Iterator[str]:
             return
 
 
-def is_niven(s: str) -> bool:
-    ds = sum(map(int, s))
-    return value_mod(s, ds) == 0
+def is_niven(text: str) -> bool:
+    """Whether the number the text names, plain digits or rep-block, is
+    divisible by its digit sum."""
+    runs = _parse_runs(text)
+    return _runs_mod(runs, sum(d * c for d, c in runs)) == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,16 +111,15 @@ class PinnRecord:
     proof: CriterionProof
 
 
-def is_pinn_bruteforce(
-    m: DigitMultiset, budget: int = DEFAULT_ORBIT_BUDGET
-) -> tuple[bool, FailureWitness | None]:
+def is_pinn_bruteforce(m: DigitMultiset) -> tuple[bool, FailureWitness | None]:
     """Divide every orbit member by the digit sum.
 
     Failure carries the lexicographically first bad arrangement and its
-    residue.  Raises BudgetExceeded when the orbit exceeds the budget.
+    residue.  Raises BudgetExceeded when the orbit exceeds
+    DEFAULT_ORBIT_BUDGET.
     """
-    if m.orbit_size > budget:
-        raise BudgetExceeded(f"orbit {m.orbit_size} exceeds budget {budget}")
+    if m.orbit_size > DEFAULT_ORBIT_BUDGET:
+        raise BudgetExceeded(f"orbit {m.orbit_size} exceeds budget {DEFAULT_ORBIT_BUDGET}")
     s = m.digit_sum
     for perm in orbit(m):
         r = int(perm) % s
@@ -179,9 +180,7 @@ def residue_table_size(m: DigitMultiset) -> int:
     return prod(c + 1 for c in m.counts) * m.digit_sum
 
 
-def is_pinn_residue_count(
-    m: DigitMultiset, budget: int = DEFAULT_ORBIT_BUDGET
-) -> tuple[bool, FailureWitness | None]:
+def is_pinn_residue_count(m: DigitMultiset) -> tuple[bool, FailureWitness | None]:
     """Count the arrangements of m in each residue class mod its digit sum s.
 
     Positions fill from the most significant digit.  A state is the vector
@@ -189,17 +188,19 @@ def is_pinn_residue_count(
     placed so far add to the value; with u digits unused, placing d adds
     d * 10^(u-1).  Each state holds how many prefixes reach it with each
     residue.  m is a PINN iff all orbit_size arrangements end at residue 0,
-    which one comparison of the final packed counts decides.  Otherwise the table is walked back from a non-zero final residue, which
-    yields an arrangement with that residue as the witness.  Raises
-    BudgetExceeded when ``residue_table_size(m)`` exceeds the budget.
+    which one comparison of the final packed counts decides.  Otherwise
+    the table is walked back from a non-zero final residue, which yields
+    an arrangement with that residue as the witness.  Raises
+    BudgetExceeded when ``residue_table_size(m)`` exceeds
+    DEFAULT_ORBIT_BUDGET.
     """
     s = m.digit_sum
     orbit_size = m.orbit_size
     digits = m.present_digits[::-1]
     radices = [m.counts[d] + 1 for d in digits]
     size = residue_table_size(m)
-    if size > budget:
-        raise BudgetExceeded(f"residue table {size} exceeds budget {budget}")
+    if size > DEFAULT_ORBIT_BUDGET:
+        raise BudgetExceeded(f"residue table {size} exceeds budget {DEFAULT_ORBIT_BUDGET}")
     top = prod(radices) - 1
     strides = [prod(radices[i + 1:]) for i in range(len(digits))]
     powers = [pow(10, e, s) for e in range(m.k)]

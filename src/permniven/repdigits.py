@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import product
 from math import prod
-from operator import attrgetter, getitem, itemgetter
+from operator import attrgetter, getitem
 from typing import NamedTuple
 
 from .digits import _format_runs, _parse_runs, _runs_mod
@@ -396,15 +396,21 @@ def zero_insertion_probe(base: str, position: int, zeros: int) -> ZeroInsertionP
     modulus = sum(d * n for d, n in runs)
     if modulus == 0:
         raise ValueError(f"the digit sum of {base} is 0, so no residue is defined")
-    head, tail, left = [], [], width - position
-    for d, n in runs:
-        kept = min(n, left)
-        head.append((d, kept))
-        tail.append((d, n - kept))
-        left -= kept
-    spliced = [run for run in (*head, (0, zeros), *tail) if run[1]]
-    runs = tuple(
-        (d, sum(n for _, n in group)) for d, group in groupby(spliced, itemgetter(0))
-    )
+    # the cut falls `left` digits into runs[i]
+    i, left = 0, width - position
+    while left and left >= runs[i][1]:
+        left -= runs[i][1]
+        i += 1
+    head, tail = list(runs[:i]), list(runs[i:])
+    if left:
+        d, n = tail[0]
+        head.append((d, left))
+        tail[0] = (d, n - left)
+    # only a zero run on either side of the cut can merge with the zeros
+    if head and head[-1][0] == 0:
+        zeros += head.pop()[1]
+    if tail and tail[0][0] == 0:
+        zeros += tail.pop(0)[1]
+    runs = (*head, (0, zeros), *tail)
     residue = _runs_mod(runs, modulus)
     return ZeroInsertionProbe(_format_runs(runs), modulus, residue, residue == 0)

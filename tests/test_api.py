@@ -31,7 +31,6 @@ EXPORTS = [
     "catalog",
     "census",
     "decide_pinn",
-    "digit_sum_of",
     "exact_condition_sweep",
     "expand",
     "factorize",
@@ -43,7 +42,6 @@ EXPORTS = [
     "multiplicative_order",
     "multiset_count",
     "orbit",
-    "parse_number",
     "probable_prime",
     "records_to_csv",
     "repdigit_niven_check",

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from permniven.catalogs import GROUP_CORES, NN2_VALUES
-from permniven.digits import DigitMultiset, parse_number
+from permniven.digits import DigitMultiset, _parse_runs, expand
 from permniven.families import catalog
 from permniven.orbits import is_pinn_criterion
 
@@ -29,7 +29,7 @@ def test_group_shape():
     assert tuple(len(g) for g in GROUP_CORES) == GROUP_SIZES
     for cores, length in zip(GROUP_CORES, GROUP_CORE_LENGTH):
         for core in cores:
-            digits = parse_number(core)
+            digits = expand(_parse_runs(core))
             assert len(digits) == length
             assert "0" not in digits  # cores are zero-free; padding adds zeros
 
@@ -87,7 +87,5 @@ def test_catalog_members_padded_from_cores():
         for inst, cores, length in zip(catalog(k), GROUP_CORES, GROUP_CORE_LENGTH):
             assert len(inst.members) == len(cores)
             for m, core in zip(inst.members, cores):
-                expected = DigitMultiset.from_string(
-                    parse_number(core)
-                ).with_zeros(k - length)
+                expected = DigitMultiset.from_string(core).with_zeros(k - length)
                 assert m == expected, (inst.template_id, core)

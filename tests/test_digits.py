@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import re
+import tracemalloc
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
@@ -14,25 +16,33 @@ from permniven.digits import (
     _format_runs,
     _parse_runs,
     _runs_mod,
-    digit_sum_of,
     expand,
     multiset_count,
-    parse_number,
     value_mod,
 )
+from permniven.orbits import is_niven
+
+
+def reference_value_mod(s: str, m: int) -> int:
+    """A digit string's value mod m by Horner's rule, one digit at a time."""
+    r = 0
+    for ch in s:
+        r = (r * 10 + (ord(ch) - 48)) % m
+    return r
 
 
 def test_digit_sum_and_value_mod_agree_with_int():
     rng = random.Random(7)
     for _ in range(300):
         s = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 30)))
-        assert digit_sum_of(s) == sum(int(c) for c in s)
+        if s.strip("0"):
+            assert DigitMultiset.from_string(s).digit_sum == sum(int(c) for c in s)
         m = rng.randint(1, 10**6)
-        assert value_mod(s, m) == int(s) % m
+        assert value_mod(s, m) == reference_value_mod(s, m) == int(s) % m
     # signs and spaces, which int() accepts, are not digits
     for bad in ("", "12a", "1 2", "-3"):
         with pytest.raises(ValueError):
-            digit_sum_of(bad)
+            DigitMultiset.from_string(bad)
         with pytest.raises(ValueError):
             value_mod(bad, 7)
 
@@ -105,7 +115,7 @@ def test_runs_mod_equals_horner_on_the_expanded_digits():
         if case % 60 == 0:
             runs = (*runs, (rng.randrange(10), rng.randint(10**5, 10**6)), (0, 10**6))
         m = rng.choice([1, 2, 7, 9, 81, rng.randint(1, 10**6), rng.randint(1, 10**18)])
-        assert _runs_mod(runs, m) == value_mod(expand(runs), m), (runs, m)
+        assert _runs_mod(runs, m) == reference_value_mod(expand(runs), m), (runs, m)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -116,7 +126,7 @@ def test_runs_mod_equals_horner_on_the_expanded_digits():
 def test_canonical_mod_by_runs_equals_horner(counts, modulus):
     assume(any(counts[1:]))
     m = DigitMultiset(tuple(counts))
-    assert _runs_mod(m.runs, modulus) == value_mod(m.canonical, modulus)
+    assert _runs_mod(m.runs, modulus) == reference_value_mod(m.canonical, modulus)
 
 
 def test_expand_validates_blocks():
@@ -129,32 +139,44 @@ def test_expand_validates_blocks():
 
 
 def test_parse_number_plain_and_rep_block():
-    assert parse_number("2448") == "2448"
-    assert parse_number("1_(26)01") == "1" * 26 + "01"
-    assert parse_number("10_(3)") == "1000"
-    assert parse_number(" 90_(2) ") == "900"
+    assert expand(_parse_runs("2448")) == "2448"
+    assert expand(_parse_runs("1_(26)01")) == "1" * 26 + "01"
+    assert expand(_parse_runs("10_(3)")) == "1000"
+    assert expand(_parse_runs(" 90_(2) ")) == "900"
+
+
+# every reader of number text refuses with the parser's own message
+TEXT_READERS = [
+    DigitMultiset.from_string,
+    lambda text: value_mod(text, 7),
+    is_niven,
+]
 
 
 @pytest.mark.parametrize(
     "bad", ["", "1_(x)", "_(3)", "1_()", "1_(0)", "abc", "1_(9223372036854775808)"]
 )
 def test_parse_number_rejects_garbage(bad):
-    with pytest.raises(ValueError):
-        parse_number(bad)
+    with pytest.raises(ValueError) as refused:
+        _parse_runs(bad)
+    for read in TEXT_READERS:
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            read(bad)
 
 
 def test_parse_number_rejects_other_scripts_digits():
     # \d matches Arabic-Indic digits unless the pattern is ASCII-only
-    for text in ("\u0661\u0662", "1_(\u0661\u0662)"):
-        with pytest.raises(ValueError):
-            parse_number(text)
+    for text in ("\u0661\u0662", "1_(\u0661\u0662)", "24\u06648"):
+        for read in (_parse_runs, *TEXT_READERS):
+            with pytest.raises(ValueError):
+                read(text)
 
 
 def test_format_number_round_trips_through_parse():
     rng = random.Random(13)
     for _ in range(200):
         s = "".join(rng.choice("012") for _ in range(rng.randint(1, 25)))
-        assert parse_number(_format_runs(reference_compress(s))) == s
+        assert expand(_parse_runs(_format_runs(reference_compress(s)))) == s
     assert _format_runs(_parse_runs("1000")) == "10_(3)"
     assert _format_runs(_parse_runs("1100")) == "1100"  # runs below three stay literal
 
@@ -167,9 +189,46 @@ def test_multiset_from_string():
     assert m1.runs == ((8, 1), (4, 2), (2, 1))
     assert m1.canonical == "8442"
     assert m1.present_digits == (2, 4, 8)
+    # rep-block text and surrounding spaces, as on the command line
+    assert DigitMultiset.from_string(" 1_(26)01 ").counts == (1, 27, 0, 0, 0, 0, 0, 0, 0, 0)
     # str.isdigit admits other scripts' digits; the digit model does not
     with pytest.raises(ValueError):
         DigitMultiset.from_string("24\u06648")
+
+
+def random_rep_block_text(rng: random.Random) -> str:
+    blocks = [(rng.choice("0123456789" if rng.random() < 0.5 else "019"),
+               rng.choice([1, 2, 3, rng.randint(1, 80)]))
+              for _ in range(rng.randint(1, 8))]
+    return "".join(d * n if rng.random() < 0.5 else f"{d}_({n})" for d, n in blocks)
+
+
+def test_text_readers_agree_with_the_expanded_digits():
+    rng = random.Random(31)
+    for _ in range(400):
+        text = random_rep_block_text(rng)
+        digits = expand(_parse_runs(text))
+        m = rng.choice([1, 2, 7, 9, rng.randint(1, 10**6), rng.randint(1, 10**18)])
+        assert value_mod(text, m) == reference_value_mod(digits, m), (text, m)
+        s = sum(map(int, digits))
+        if s:
+            assert DigitMultiset.from_string(text) == DigitMultiset.from_string(digits), text
+            assert is_niven(text) == (reference_value_mod(digits, s) == 0), text
+
+
+def test_text_readers_never_expand_their_input():
+    # ten billion ones would take about 10 GB written out
+    tracemalloc.start()
+    try:
+        assert DigitMultiset.from_string("1_(10000000000)2").k == 10000000001
+        assert DigitMultiset.from_string("1_(10000000000)").k == 10000000000
+        assert value_mod("1_(10000000000)", 7) == 5  # R_n mod 7 has period 6
+        assert not is_niven("1_(10000000000)")
+        assert not is_niven("1_(10000000000)2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
 
 
 def test_multiset_rejects_bad_counts():

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from permniven.catalogs import GROUP_CORES
-from permniven.digits import DigitMultiset, parse_number
+from permniven.digits import DigitMultiset, _parse_runs, expand
 from permniven.families import (
     FAMILY_IDS,
     FamilyInstance,
@@ -21,7 +21,7 @@ MIN_K = dict(zip(FAMILY_IDS, (2, 3, 4, 4, 5, 6, 7, 8, 9, 10)))
 
 
 def _core_width(cores: tuple[str, ...]) -> int:
-    return len(parse_number(cores[0]))
+    return len(expand(_parse_runs(cores[0])))
 
 
 def test_template_lookup():
@@ -68,9 +68,7 @@ def test_catalog_holds_the_groups_that_fit(k):
     fitting = [cores for cores in GROUP_CORES if _core_width(cores) <= k]
     assert [inst.members for inst in catalog(k)] == [
         tuple(
-            DigitMultiset.from_string(parse_number(core)).with_zeros(
-                k - _core_width(cores)
-            )
+            DigitMultiset.from_string(core).with_zeros(k - _core_width(cores))
             for core in cores
         )
         for cores in fitting

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from permniven.catalogs import GROUP_CORES
-from permniven.digits import DigitMultiset, parse_number, value_mod
+from permniven.digits import DigitMultiset
 from permniven.orbits import (
     BudgetExceeded,
     CriterionProof,
@@ -25,6 +25,7 @@ from permniven.orbits import (
     orbit,
     residue_table_size,
 )
+from test_digits import reference_value_mod
 
 
 def brute_pinn(digits) -> bool:
@@ -107,7 +108,7 @@ def test_criterion_equals_bruteforce_up_to_k4():
 def assert_is_witness(m: DigitMultiset, witness: FailureWitness) -> None:
     assert sorted(witness.permutation) == sorted(m.canonical)
     assert witness.residue != 0
-    assert value_mod(witness.permutation, m.digit_sum) == witness.residue
+    assert reference_value_mod(witness.permutation, m.digit_sum) == witness.residue
 
 
 def test_three_deciders_agree_up_to_k6():
@@ -187,15 +188,21 @@ def test_criterion_proof_shape(digits, pairs, gaps, base):
     assert ok == (base == 0)
 
 
-def test_budget_gate():
+def test_budget_gate(monkeypatch):
+    import permniven.orbits as orbits
+
+    # each decider reads the guard when it is called
+    monkeypatch.setattr(orbits, "DEFAULT_ORBIT_BUDGET", 1000)
     big = DigitMultiset.from_string("1234567890123")
     with pytest.raises(BudgetExceeded):
-        is_pinn_bruteforce(big, budget=1000)
+        is_pinn_bruteforce(big)
     # the DP is gated by its table, not by the orbit
     assert residue_table_size(big) == 3**3 * 2**7 * 51
+    monkeypatch.setattr(orbits, "DEFAULT_ORBIT_BUDGET", residue_table_size(big) - 1)
     with pytest.raises(BudgetExceeded):
-        is_pinn_residue_count(big, budget=residue_table_size(big) - 1)
-    assert is_pinn_residue_count(big, budget=residue_table_size(big))[0] is False
+        is_pinn_residue_count(big)
+    monkeypatch.setattr(orbits, "DEFAULT_ORBIT_BUDGET", residue_table_size(big))
+    assert is_pinn_residue_count(big)[0] is False
 
 
 def says_pinn(m: DigitMultiset) -> tuple[bool, CriterionProof]:
@@ -230,7 +237,7 @@ def test_decide_pinn_trusts_no_single_decider(monkeypatch):
     # with a digit sum above 81 nothing is capped, and the DP's table guard
     # stops a criterion that wrongly accepts a wide class
     with pytest.raises(BudgetExceeded):
-        decide_pinn(DigitMultiset.from_string(parse_number("1_(200)20_(200)")))
+        decide_pinn(DigitMultiset.from_string("1_(200)20_(200)"))
 
     def rejects_a_pair(m):
         return False, CriterionProof(
@@ -260,7 +267,7 @@ def test_residue_count_gives_the_verdict_of_the_zero_cap():
     # 0 and 1 differ mod 3)
     cores = [core for group in GROUP_CORES for core in group]
     for core in cores + ["555552", "444444111"]:
-        m = DigitMultiset.from_string(parse_number(core))
+        m = DigitMultiset.from_string(core)
         cap = zero_cap(m.digit_sum)
         verdicts = {z: is_pinn_residue_count(m.with_zeros(z))[0] for z in range(1, 61)}
         for z, verdict in verdicts.items():
@@ -272,15 +279,15 @@ def test_decide_pinn_hands_the_dp_c_of_s_zeros(monkeypatch):
 
     seen = []
 
-    def spy(m, budget=orbits.DEFAULT_ORBIT_BUDGET):
+    def spy(m):
         seen.append(m.counts[0])
-        return is_pinn_residue_count(m, budget)
+        return is_pinn_residue_count(m)
 
     monkeypatch.setattr(orbits, "is_pinn_residue_count", spy)
     # s = 4 and s = 8 keep v2(s) zeros, s = 18 keeps the one zero that
     # leaves 0 a present digit
     for text, s, cap in [("40_(40)", 4, 2), ("80_(40)", 8, 3), ("24480_(40)", 18, 1)]:
-        m = DigitMultiset.from_string(parse_number(text))
+        m = DigitMultiset.from_string(text)
         assert m.digit_sum == s and zero_cap(s) == cap
         seen.clear()
         assert decide_pinn(m)[::2] == (True, True)
@@ -289,7 +296,7 @@ def test_decide_pinn_hands_the_dp_c_of_s_zeros(monkeypatch):
     # 555552 is a PINN and 5555520 is not: against a criterion that accepts
     # everything, one zero reaches the DP and its witness lifts to full width
     monkeypatch.setattr(orbits, "is_pinn_criterion", says_pinn)
-    m = DigitMultiset.from_string(parse_number("5555520_(9)"))
+    m = DigitMultiset.from_string("5555520_(9)")
     seen.clear()
     ok, witness, residue_counted = decide_pinn(m)
     assert not ok and residue_counted and seen == [1]
@@ -297,7 +304,7 @@ def test_decide_pinn_hands_the_dp_c_of_s_zeros(monkeypatch):
 
     # a digit sum above 81 is still not capped, so the table guard trips
     with pytest.raises(BudgetExceeded):
-        decide_pinn(DigitMultiset.from_string(parse_number("1_(200)20_(200)")))
+        decide_pinn(DigitMultiset.from_string("1_(200)20_(200)"))
 
 
 @st.composite
@@ -306,7 +313,7 @@ def wide_multisets(draw) -> DigitMultiset:
     with digit sum at most 81, padded with zeros."""
     cores = [core for group in GROUP_CORES for core in group]
     if draw(st.booleans()):
-        m = DigitMultiset.from_string(parse_number(draw(st.sampled_from(cores))))
+        m = DigitMultiset.from_string(draw(st.sampled_from(cores)))
     else:
         counts = [0] * 10
         for d in draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True)):

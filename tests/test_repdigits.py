@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from permniven import repdigits
-from permniven.digits import digit_sum_of, parse_number, value_mod
+from permniven.digits import _parse_runs, expand
 from permniven.numtheory import multiplicative_order, probable_prime
 from permniven.repdigits import (
     CONJECTURE_PRIMES,
@@ -22,6 +22,7 @@ from permniven.repdigits import (
     verify_conjecture_grid,
     zero_insertion_probe,
 )
+from test_digits import reference_value_mod
 
 SWEEP_PREFIX = [1, 3, 9, 27, 81, 111, 243, 333, 729, 999, 2187, 2997]
 
@@ -32,7 +33,7 @@ def test_exact_condition_is_divisibility_of_the_repdigit():
     # here against the digit string itself.
     for a in range(1, 10):
         for k in range(1, 2001):
-            expected = value_mod(str(a) * k, a * k) == 0
+            expected = reference_value_mod(str(a) * k, a * k) == 0
             assert repdigit_niven_check(a, k).exact == expected, (a, k)
 
 
@@ -53,7 +54,7 @@ def test_strict_condition_is_divisibility_of_the_repunit():
     # reads both conditions off one power mod 9ka
     for a in range(1, 10):
         for k in range(1, 501):
-            expected = value_mod("1" * k, k * a) == 0
+            expected = reference_value_mod("1" * k, k * a) == 0
             assert repdigit_niven_check(a, k).strict == expected, (a, k)
 
 
@@ -397,12 +398,12 @@ def test_zero_insertion_probe_mechanics():
 def reference_probe(base: str, position: int, zeros: int) -> ZeroInsertionProbe:
     """The probe over the expanded digit string, sliced and reduced by
     Horner's rule, with every run of three or more written as d_(n)."""
-    digits = parse_number(base)
+    digits = expand(_parse_runs(base))
     assert 0 <= position <= len(digits) and zeros >= 1
     cut = len(digits) - position
     modified = digits[:cut] + "0" * zeros + digits[cut:]
-    modulus = digit_sum_of(digits)
-    residue = value_mod(modified, modulus)
+    modulus = sum(map(int, digits))
+    residue = reference_value_mod(modified, modulus)
     text = re.sub(r"(\d)\1\1+", lambda run: f"{run[1]}_({len(run[0])})", modified)
     return ZeroInsertionProbe(text, modulus, residue, residue == 0)
 

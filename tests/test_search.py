@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from permniven.catalogs import GROUP_CORES, NN2_VALUES, ZERO_FREE_EXTRAS
-from permniven.digits import DigitMultiset, multiset_count, parse_number
+from permniven.digits import DigitMultiset, multiset_count
 from permniven.orbits import decide_pinn, is_pinn_bruteforce, is_pinn_criterion, orbit
 from permniven.search import (
     CENSUS_MAX,
@@ -250,7 +250,7 @@ def test_zero_padding_between_widths():
 
 
 def _classes(texts) -> list[DigitMultiset]:
-    return [DigitMultiset.from_string(parse_number(t)) for t in texts]
+    return [DigitMultiset.from_string(t) for t in texts]
 
 
 def test_classification_theorem():
