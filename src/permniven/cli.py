@@ -148,7 +148,7 @@ def _cmd_search(ns: argparse.Namespace) -> int:
             *(f"  {_format_runs(m.runs)}  digit_sum={m.digit_sum} orbit={m.orbit_size}"
               for m in classes),
             f"scanned {report.multisets_scanned} multisets "
-            f"(stage 1: {report.stage1_count}, stage 2: {report.stage2_count})",
+            f"(zero-free: {report.stage1_count}, with a zero: {report.stage2_count})",
         )
 
     write = _writer(
@@ -275,7 +275,7 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
             return _lines(
                 f"{len(report.entries)} exponent tuples checked, "
                 f"{report.skipped_over_cap} skipped over the {report.bit_cap}-bit cap",
-                *(f"FAILED {e.exponents.as_tuple()}: exact={e.exact} expected={e.expected}"
+                *(f"FAILED {e.exponents}: exact={e.exact} expected={e.expected}"
                   for e in report.failures()),
                 *(["all tuples consistent with the exact condition"] if report.all_ok else []),
             )
@@ -286,7 +286,7 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
             json=grid_report_to_json,
             csv=lambda report: csv_text(
                 ["exponents", "modulus_bits", "exact", "expected"],
-                [("*".join(map(str, e.exponents.as_tuple())), e.modulus_bits, e.exact, e.expected)
+                [("*".join(map(str, e.exponents)), e.modulus_bits, e.exact, e.expected)
                  for e in report.entries],
             ),
         )

@@ -87,9 +87,12 @@ def orbit(m: DigitMultiset) -> Iterator[str]:
 
 def is_niven(text: str) -> bool:
     """Whether the number the text names, plain digits or rep-block, is
-    divisible by its digit sum."""
+    divisible by its digit sum.  Raises ValueError for a digit sum of 0."""
     runs = _parse_runs(text)
-    return _runs_mod(runs, sum(d * c for d, c in runs)) == 0
+    digit_sum = sum(d * c for d, c in runs)
+    if digit_sum == 0:
+        raise ValueError(f"the digit sum of {text} is 0, so no residue is defined")
+    return _runs_mod(runs, digit_sum) == 0
 
 
 @dataclass(frozen=True, slots=True)

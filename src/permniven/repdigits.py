@@ -91,9 +91,9 @@ GRID_BIT_CAP = 4096
 # verify_conjecture_grid refuses bounds with more ladder tuples.  A ladder
 # tuple costs a product and no modular power, so the cap bounds the cost as
 # well as the count.  The 41637 tuples of n=12, alpha=beta=3,
-# gamma1=gamma2=2 and each delta 1 take 0.3-0.45 s to check and 0.1-0.2 s to
-# write as JSON, at a peak RSS of 62 MB; n=49999 gives 50000 tuples, 2046
-# of them under the bit cap, and takes 0.5-0.6 s (2 cores, Python 3.11).
+# gamma1=gamma2=2 and each delta 1 take 0.12-0.23 s to check and 0.09-0.15 s
+# to write as JSON, at a peak RSS of 62 MB; n=49999 gives 50000 tuples, 2046
+# of them under the bit cap, and takes 0.32-0.57 s (2 cores, Python 3.11).
 # Uniform bounds of 3 give 277 tuples, of 4 already 1953781.
 GRID_MAX_TUPLES = 50_000
 
@@ -189,7 +189,7 @@ def repdigit_niven_check(a: int, k: int) -> RepdigitCheck:
 
 @dataclass(frozen=True, slots=True)
 class GridEntry:
-    exponents: ConjectureConstraints
+    exponents: tuple[int, ...]  # in CONJECTURE_PRIMES order
     modulus_bits: int  # bit length of 9k
     exact: bool
     expected: bool
@@ -215,13 +215,6 @@ DEFAULT_GRID_BOUNDS = ConjectureConstraints(
     n=6, alpha=2, beta=2, gamma1=1, gamma2=1,
     delta1=1, delta2=1, delta3=1, delta4=1, delta5=1,
 )
-
-
-def _minimal_violations() -> list[ConjectureConstraints]:
-    return [
-        ConjectureConstraints(n=floor_n - 1, **{name: 1})
-        for name, floor_n in _LADDER.items()
-    ]
 
 
 def _ladder_bounds(bounds: ConjectureConstraints, n: int) -> list[int]:
@@ -307,11 +300,13 @@ def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridR
                 continue
             k = prod(powers)
             exact = all(map(getitem, passed, exponents[1:])) or pow(10, k, 9 * k) == 1
-            entries.append(GridEntry(ConjectureConstraints(*exponents),
-                                     (9 * k).bit_length(), exact, True))
-    for exp in _minimal_violations():
+            entries.append(GridEntry(exponents, (9 * k).bit_length(), exact, True))
+    for name, floor_n in _LADDER.items():  # the minimal violations
+        exp = ConjectureConstraints(n=floor_n - 1, **{name: 1})
         k = exp.k
-        entries.append(GridEntry(exp, (9 * k).bit_length(), pow(10, k, 9 * k) == 1, False))
+        entries.append(
+            GridEntry(exp.as_tuple(), (9 * k).bit_length(), pow(10, k, 9 * k) == 1, False)
+        )
     return GridReport(
         bounds=bounds,
         bit_cap=GRID_BIT_CAP,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from operator import attrgetter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .digits import _format_runs, multiset_count
@@ -190,10 +190,10 @@ def bfile_text(values: Iterable[int] | Iterable[str]) -> str:
 # --- the repdigit grid -------------------------------------------------------------
 
 # The grid's JSON has one fixed shape, so each entry is one %-format of a
-# template instead of a walk over a dict per entry.  The exponents are read
-# in key order, which sort_keys gives, not in field order.
+# template instead of a walk over a dict per entry.  The exponent tuples are
+# read in key order, which sort_keys gives, not in CONJECTURE_PRIMES order.
 _GRID_NAMES = sorted(CONJECTURE_PRIMES)
-_grid_exponents = attrgetter(*_GRID_NAMES)
+_grid_exponents = itemgetter(*map(list(CONJECTURE_PRIMES).index, _GRID_NAMES))
 _JSON_BOOL = ("false", "true")
 
 
@@ -227,6 +227,6 @@ def grid_report_to_json(report: GridReport) -> str:
         for e in report.entries
     ])
     return _GRID_REPORT % (
-        _JSON_BOOL[report.all_ok], report.bit_cap, *_grid_exponents(report.bounds),
+        _JSON_BOOL[report.all_ok], report.bit_cap, *_grid_exponents(report.bounds.as_tuple()),
         f"[\n    {entries}\n  ]" if entries else "[]", report.skipped_over_cap,
     )

@@ -214,7 +214,7 @@ def test_criterion_09_conjecture_grid():
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     bad = [
-        f"  {e.exponents.as_tuple()}: exact={e.exact}, expected={e.expected}"
+        f"  {e.exponents}: exact={e.exact}, expected={e.expected}"
         for e in report.failures()
     ]
     assert not bad, "grid entries off the expected verdict:\n" + "\n".join(bad)

@@ -1,18 +1,22 @@
 """Exit codes and output formats of the command line front end."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import re
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from permniven.catalogs import NN2_VALUES
 from permniven.cli import run
 from permniven.digits import _parse_runs, expand
+from permniven.repdigits import CONJECTURE_PRIMES, ConjectureConstraints, verify_conjecture_grid
 from permniven.serialize import report_from_json
 from test_digits import reference_value_mod
 from test_orbits import says_pinn
@@ -196,7 +200,7 @@ def test_search_text_and_bfile(capsys):
     first = capsys.readouterr()
     assert "16 canonical multisets, 23 values" in first.out
     # the wall time goes to stderr, so stdout repeats byte for byte
-    assert first.out.splitlines()[-1] == "scanned 54 multisets (stage 1: 7, stage 2: 9)"
+    assert first.out.splitlines()[-1] == "scanned 54 multisets (zero-free: 7, with a zero: 9)"
     assert first.err.startswith("search took ")
     assert run(["search", "--k", "2"]) == 0
     assert capsys.readouterr().out == first.out
@@ -335,6 +339,36 @@ def test_repdigit_grid_text_keeps_the_time_off_stdout(capsys):
     assert runs[0].out == runs[1].out
     assert "took" not in runs[0].out
     assert re.fullmatch(r"grid took \d+\.\d\ds\n", runs[0].err)
+
+
+def test_repdigit_grid_csv_rows_are_the_json_entries(capsys):
+    argv = ["repdigit", "--grid", "--max-exp", "1", "--format"]
+    assert run(argv + ["json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert run(argv + ["csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["exponents", "modulus_bits", "exact", "expected"]
+    # the exponents *-joined in CONJECTURE_PRIMES order, n first
+    assert rows == [
+        ["*".join(str(e["exponents"][name]) for name in CONJECTURE_PRIMES),
+         str(e["modulus_bits"]), str(e["exact"]), str(e["expected"])]
+        for e in entries
+    ]
+    assert rows[1] == ["1*0*0*0*0*0*0*0*0*0", "5", "True", "True"]
+    assert rows[-9] == ["0*1*0*0*0*0*0*0*0*0", "9", "False", "False"]
+
+
+def test_repdigit_grid_text_names_a_failed_entry(monkeypatch, capsys):
+    import permniven.cli as cli
+
+    report = verify_conjecture_grid(ConjectureConstraints(*[1] * 10))
+    failed = replace(report, entries=report.entries + (replace(report.entries[0], exact=False),))
+    monkeypatch.setattr(cli, "verify_conjecture_grid", lambda bounds: failed)
+    assert run(["repdigit", "--grid", "--max-exp", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{len(failed.entries)} exponent tuples checked, 0 skipped over the 4096-bit cap",
+        "FAILED (0, 0, 0, 0, 0, 0, 0, 0, 0, 0): exact=False expected=True",
+    ]
 
 
 def test_repdigit_grid_refuses_too_many_tuples_at_once(capsys):

@@ -71,6 +71,10 @@ def test_is_niven_matches_direct_division():
     # leading zeros leave the digit sum alone but shrink the value
     assert is_niven("012")
     assert not is_niven("091")
+    # a digit sum of 0 leaves no residue, so the input is refused by that sum
+    for text in ("0", "000", "0_(5)"):
+        with pytest.raises(ValueError, match="digit sum"):
+            is_niven(text)
 
 
 def test_bruteforce_agrees_with_oracle_and_reports_witness():

@@ -185,7 +185,7 @@ def _grid_report_obj(report):
         "all_ok": report.all_ok,
         "entries": [
             {
-                "exponents": dict(zip(names, e.exponents.as_tuple())),
+                "exponents": dict(zip(names, e.exponents)),
                 "modulus_bits": e.modulus_bits,
                 "exact": e.exact,
                 "expected": e.expected,
