@@ -4,12 +4,13 @@ A positive integer is a PINN when every rearrangement of its digits
 (leading zeros dropped) is divisible by the digit sum.  The library works
 on digit multisets, so an entire permutation orbit is one object, and
 offers an exact congruence criterion and a residue-counting DP, each
-equivalent to brute-force orbit checking and combined into one verdict
-rule (``decide_pinn``) that cross-checks every PINN verdict at any width
-(repdigits by the closed form 10^k = 1 (mod 9k)), an exhaustive search
-by width with census utilities, the ten infinite families with
-verification, and a lab for repdigit divisibility conditions and the
-multiplicative-order machinery behind them.
+equivalent to dividing every arrangement (the brute-force oracle, which
+the tests keep) and combined into one verdict rule (``decide_pinn``)
+that cross-checks every PINN verdict at any width (repdigits by the
+closed form 10^k = 1 (mod 9k)), an exhaustive search by width with
+census utilities, the ten infinite families with verification, and a
+lab for repdigit divisibility conditions and the multiplicative-order
+machinery behind them.
 """
 # Each module's __all__ is its share of the package surface.  The search
 # module's is bound first: ``from .search import *`` rebinds ``search`` to

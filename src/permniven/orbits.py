@@ -4,11 +4,9 @@ A multiset's orbit is the set of distinct digit arrangements.  Arrangements
 with leading zeros are kept in the orbit and judged at their normalized
 value, which equals the un-normalized value, so the verdict is unaffected.
 
-Three deciders settle whether every orbit member is a Niven number, each by
-its own reasoning:
+Two deciders settle whether every orbit member is a Niven number, each by
+its own reasoning, and neither enumerates the orbit:
 
-* ``is_pinn_bruteforce`` walks the orbit in lexicographic order and divides;
-  it is the test oracle, and no production path calls it.
 * ``is_pinn_criterion`` checks a pair of congruence conditions that are
   exactly equivalent: transpositions generate the symmetric group, condition
   (a) pins all arrangements to one residue class mod the digit sum, and
@@ -17,8 +15,11 @@ its own reasoning:
   present digits agreeing modulo ``class_modulus(s, k)``, which the search
   scan uses to enumerate candidate classes directly.
 * ``is_pinn_residue_count`` counts the arrangements in each residue class
-  mod the digit sum with a DP over (unused digit counts, residue), so it
-  never enumerates the orbit; its cost is ``residue_table_size(m)``.
+  mod the digit sum with a DP over (unused digit counts, residue); its cost
+  is ``residue_table_size(m)``.
+
+Brute force, walking the orbit and dividing, is the definition itself; it
+lives with the tests as the oracle both deciders are checked against.
 
 ``decide_pinn``, the verdict rule of ``check`` and ``families --verify``,
 runs the criterion and puts a second decider behind every "yes": the
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
-from typing import Iterator
 
 from .digits import DigitMultiset, _parse_runs, _runs_mod, expand
 from .repdigits import repdigit_niven_check
@@ -43,10 +43,8 @@ __all__ = [
     "PinnRecord",
     "decide_pinn",
     "is_niven",
-    "is_pinn_bruteforce",
     "is_pinn_criterion",
     "is_pinn_residue_count",
-    "orbit",
 ]
 
 # A guard, not a knob: decide_pinn's tables stay far below it unless the
@@ -58,31 +56,7 @@ _MAX_CLASS_SUM = 81
 
 
 class BudgetExceeded(Exception):
-    """Orbit or residue table too large for the budget."""
-
-
-def _next_permutation(a: list) -> bool:
-    # standard lexicographic successor, in place; works on ints or chars
-    i = len(a) - 2
-    while i >= 0 and a[i] >= a[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(a) - 1
-    while a[j] <= a[i]:
-        j -= 1
-    a[i], a[j] = a[j], a[i]
-    a[i + 1:] = a[len(a) - 1:i:-1]
-    return True
-
-
-def orbit(m: DigitMultiset) -> Iterator[str]:
-    """Yield every distinct arrangement, lexicographically ascending."""
-    a = [d for d in range(10) for _ in range(m.counts[d])]
-    while True:
-        yield "".join(map(str, a))
-        if not _next_permutation(a):
-            return
+    """The DP's residue table has more than DEFAULT_ORBIT_BUDGET entries."""
 
 
 def is_niven(text: str) -> bool:
@@ -112,23 +86,6 @@ class CriterionProof:
 class PinnRecord:
     multiset: DigitMultiset
     proof: CriterionProof
-
-
-def is_pinn_bruteforce(m: DigitMultiset) -> tuple[bool, FailureWitness | None]:
-    """Divide every orbit member by the digit sum.
-
-    Failure carries the lexicographically first bad arrangement and its
-    residue.  Raises BudgetExceeded when the orbit exceeds
-    DEFAULT_ORBIT_BUDGET.
-    """
-    if m.orbit_size > DEFAULT_ORBIT_BUDGET:
-        raise BudgetExceeded(f"orbit {m.orbit_size} exceeds budget {DEFAULT_ORBIT_BUDGET}")
-    s = m.digit_sum
-    for perm in orbit(m):
-        r = int(perm) % s
-        if r:
-            return False, FailureWitness(permutation=perm, residue=r)
-    return True, None
 
 
 def class_modulus(s: int, k: int) -> int:

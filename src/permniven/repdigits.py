@@ -93,7 +93,8 @@ GRID_BIT_CAP = 4096
 # well as the count.  The 41637 tuples of n=12, alpha=beta=3,
 # gamma1=gamma2=2 and each delta 1 take 0.12-0.23 s to check and 0.09-0.15 s
 # to write as JSON, at a peak RSS of 62 MB; n=49999 gives 50000 tuples, 2046
-# of them under the bit cap, and takes 0.32-0.57 s (2 cores, Python 3.11).
+# of them under the bit cap, and takes 26-28 ms, since no n is visited past
+# the one whose 3^n alone passes the cap (2 cores, Python 3.11).
 # Uniform bounds of 3 give 277 tuples, of 4 already 1953781.
 GRID_MAX_TUPLES = 50_000
 
@@ -254,7 +255,8 @@ def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridR
     and each minimal violation, is pow(10, k, 9k) itself.  The README
     proves that every part of a ladder tuple passes.  Tuples whose modulus
     may exceed GRID_BIT_CAP bits are counted as skipped, never passed
-    silently.
+    silently: the skipped count is the ladder tuples less those checked,
+    so the walk stops at the first n whose 3^n alone passes the cap.
     Raises OverflowError, before any work, when more than GRID_MAX_TUPLES
     tuples satisfy the ladder.
     """
@@ -282,8 +284,9 @@ def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridR
     # some n so far; e = 0 puts no power of p in 9k
     passed = [[e == 0 for e in range(bound + 1)] for bound in reach[1:]]
     entries = []
-    skipped = 0
     for n in range(bounds.n + 1):
+        if table[0][n][1] is None:  # 3^n alone puts 9k over the cap from here on
+            break
         allowed = _ladder_bounds(bounds, n)
         for p, column, bound, held in zip(primes[1:], table[1:], allowed, passed):
             for e, q, _ in column[1:bound + 1]:
@@ -296,11 +299,11 @@ def verify_conjecture_grid(bounds: ConjectureConstraints | None = None) -> GridR
             exponents, powers, bits = zip(*combo)
             # bit_estimate + 4 bounds the bit length of 9k from above
             if sum(bits) + 1 + 4 > GRID_BIT_CAP:
-                skipped += 1
                 continue
             k = prod(powers)
             exact = all(map(getitem, passed, exponents[1:])) or pow(10, k, 9 * k) == 1
             entries.append(GridEntry(exponents, (9 * k).bit_length(), exact, True))
+    skipped = count - len(entries)
     for name, floor_n in _LADDER.items():  # the minimal violations
         exp = ConjectureConstraints(n=floor_n - 1, **{name: 1})
         k = exp.k

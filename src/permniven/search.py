@@ -26,15 +26,16 @@ names are kept for the JSON schema.
 """
 from __future__ import annotations
 
+import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .catalogs import GROUP_CORES, ZERO_FREE_EXTRAS
 from .digits import DigitMultiset, multiset_count
 from .families import _parsed
-from .orbits import _MAX_CLASS_SUM, PinnRecord, class_modulus, is_pinn_criterion, orbit
+from .orbits import _MAX_CLASS_SUM, PinnRecord, class_modulus, is_pinn_criterion
 from .repdigits import exact_condition_sweep
 
 __all__ = [
@@ -145,16 +146,36 @@ def search(cfg: SearchConfig) -> SearchReport:
 
 # --- value expansion and census ---------------------------------------------------
 
+def _next_permutation(a: list) -> bool:
+    # standard lexicographic successor, in place
+    i = len(a) - 2
+    while i >= 0 and a[i] >= a[i + 1]:
+        i -= 1
+    if i < 0:
+        return False
+    j = len(a) - 1
+    while a[j] <= a[i]:
+        j -= 1
+    a[i], a[j] = a[j], a[i]
+    a[i + 1:] = a[len(a) - 1:i:-1]
+    return True
+
+
+def _class_values(m: DigitMultiset) -> Iterator[int]:
+    """The values of m's arrangements not led by zero, ascending."""
+    # the least of them: the least nonzero digit, then the rest ascending
+    a = sorted(m.canonical)
+    a.insert(0, a.pop(m.counts[0]))
+    while True:
+        yield int("".join(a))
+        if not _next_permutation(a):
+            return
+
+
 def report_values(report: SearchReport) -> list[int]:
-    """All k-digit values covered by the report's classes, ascending."""
-    values = [
-        int(perm)
-        for rec in report.records
-        for perm in orbit(rec.multiset)
-        if perm[0] != "0"
-    ]
-    values.sort()
-    return values
+    """All k-digit values covered by the report's classes, ascending: each
+    class's values in order, merged."""
+    return list(heapq.merge(*(_class_values(r.multiset) for r in report.records)))
 
 
 class CensusResult(NamedTuple):

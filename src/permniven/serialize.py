@@ -1,7 +1,6 @@
 """Writers shared by the command line's output formats: JSON text, CSV,
-b-file lines, the search report (whose JSON round-trips) and the repdigit
-grid.  Each command's own output objects are built where its writers are,
-in ``cli``.
+b-file lines, the search report and the repdigit grid.  Each command's own
+output objects are built where its writers are, in ``cli``.
 
 Every JSON text is exactly what ``json.dumps(obj, indent=2,
 sort_keys=True)`` writes, and a newline.  ``to_json_text`` writes it by one
@@ -12,9 +11,7 @@ template by ``grid_report_to_json``, in the same bytes.
 
 Search reports serialize without the elapsed field; every other field is
 a pure function of the inputs, so two runs of the same query produce
-byte-identical output.  parse(serialize(r)) reconstructs a report equal to
-r (report equality ignores elapsed): the reader runs the search that
-writes the text and refuses any text that no search writes.
+byte-identical output.
 """
 from __future__ import annotations
 
@@ -24,15 +21,14 @@ import json
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
-from .digits import _format_runs, multiset_count
+from .digits import _format_runs
 from .orbits import CriterionProof, FailureWitness, PinnRecord
 from .repdigits import CONJECTURE_PRIMES, GridReport
-from .search import SearchConfig, SearchReport, search
+from .search import SearchReport
 
 __all__ = [
     "bfile_text",
     "records_to_csv",
-    "report_from_json",
     "report_to_json",
 ]
 
@@ -126,35 +122,6 @@ def _report_to_obj(report: SearchReport) -> dict[str, Any]:
 
 def report_to_json(report: SearchReport) -> str:
     return to_json_text(_report_to_obj(report))
-
-
-def report_from_json(text: str) -> SearchReport:
-    """The search report that text serializes, found by running the search
-    again.  The text names the width and, by ``multisets_scanned``, the
-    space; it does not mark ``exclude_repdigits``, so both settings are
-    tried.  Raises ValueError unless one of these searches writes exactly
-    this object, also for JSON of another shape."""
-    obj = json.loads(text)
-    k = obj.get("k") if type(obj) is dict else None
-    refused = ValueError(f"not a search report of width {k}")
-    try:
-        records, scanned = obj["records"], obj["multisets_scanned"]
-        counts = [r["counts"] for r in records]
-    except (KeyError, TypeError):
-        raise refused from None
-    # each record writes its k-digit canonical string, so a shorter text
-    # is refused before any work that grows with k
-    if type(k) is not int or k < 1 or len(text) < k * len(records):
-        raise refused
-    allow_zero = scanned != multiset_count(k, False)
-    for exclude in (False, True):
-        report = search(SearchConfig(k, allow_zero, exclude))
-        # the counts first: only then build the k-digit strings
-        if counts == [list(r.multiset.counts) for r in report.records] and (
-            _report_to_obj(report) == obj
-        ):
-            return report
-    raise refused
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

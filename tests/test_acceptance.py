@@ -22,10 +22,11 @@ from permniven.cli import run
 from permniven.digits import DigitMultiset
 from permniven.families import FAMILY_IDS, catalog, instantiate, verify_family
 from permniven.numtheory import factorize, probable_prime
-from permniven.orbits import decide_pinn, is_pinn_bruteforce, is_pinn_criterion
+from permniven.orbits import decide_pinn, is_pinn_criterion
 from permniven.repdigits import DISTINGUISHED_PRIMES, verify_conjecture_grid, zero_insertion_probe
 from permniven.search import SearchConfig, report_values, search
 from permniven.serialize import report_to_json
+from oracle import is_pinn_bruteforce
 from test_orbits import values_permutation_closed
 
 

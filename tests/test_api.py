@@ -36,16 +36,13 @@ EXPORTS = [
     "factorize",
     "instantiate",
     "is_niven",
-    "is_pinn_bruteforce",
     "is_pinn_criterion",
     "is_pinn_residue_count",
     "multiplicative_order",
     "multiset_count",
-    "orbit",
     "probable_prime",
     "records_to_csv",
     "repdigit_niven_check",
-    "report_from_json",
     "report_to_json",
     "report_values",
     "search",

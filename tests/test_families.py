@@ -13,7 +13,8 @@ from permniven.families import (
     instantiate,
     verify_family,
 )
-from permniven.orbits import FailureWitness, is_pinn_bruteforce, is_pinn_residue_count
+from permniven.orbits import FailureWitness, is_pinn_residue_count
+from oracle import is_pinn_bruteforce
 
 MEMBER_COUNTS = dict(zip(FAMILY_IDS, (9, 7, 9, 8, 12, 13, 9, 7, 4, 9)))
 # core width + 1: every instance carries at least one zero

@@ -16,7 +16,7 @@ import pytest
 
 from permniven.catalogs import GROUP_CORES, NN2_VALUES, ZERO_FREE_EXTRAS
 from permniven.digits import DigitMultiset, multiset_count
-from permniven.orbits import decide_pinn, is_pinn_bruteforce, is_pinn_criterion, orbit
+from permniven.orbits import decide_pinn, is_pinn_criterion
 from permniven.search import (
     CENSUS_MAX,
     SearchConfig,
@@ -27,6 +27,7 @@ from permniven.search import (
     report_values,
     search,
 )
+from oracle import is_pinn_bruteforce, orbit
 from test_acceptance import CATALOG_OMISSIONS, ZERO_FREE_K10_TO_K14
 
 # Fresh-search class counts per width.  The k=6 and k=9 values exceed the
@@ -223,6 +224,17 @@ def test_report_values_expand_orbits():
     rec = next(r for r in report.records if r.multiset.canonical == "432")
     expected = {int(p) for p in orbit(rec.multiset) if p[0] != "0"}
     assert expected <= set(values)
+    # the whole list, against every permutation of each class's digits
+    for k in range(1, 8):
+        for flags in ({}, {"allow_zero": False}, {"exclude_repdigits": True}):
+            report = search(SearchConfig(k=k, **flags))
+            expected = sorted(
+                value
+                for rec in report.records
+                for value in {int("".join(p)) for p in permutations(rec.multiset.canonical)
+                              if p[0] != "0"}
+            )
+            assert report_values(report) == expected, (k, flags)
     # the text report counts values without expanding them
     for k in range(1, 9):
         for allow_zero in (True, False):

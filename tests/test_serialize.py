@@ -1,4 +1,4 @@
-"""JSON round trips, CSV, and b-file emission."""
+"""JSON, CSV, and b-file emission."""
 from __future__ import annotations
 
 import csv
@@ -6,7 +6,6 @@ import io
 import json
 import math
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -14,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permniven import repdigits
-from permniven.digits import DigitMultiset, multiset_count
-from permniven.orbits import PinnRecord, is_pinn_criterion
+from permniven.digits import multiset_count
 from permniven.repdigits import (
     CONJECTURE_PRIMES,
     DEFAULT_GRID_BOUNDS,
@@ -24,19 +22,17 @@ from permniven.repdigits import (
 )
 from permniven.search import SearchConfig, search
 from permniven.serialize import (
-    _record_to_obj,
     bfile_text,
     grid_report_to_json,
     records_to_csv,
-    report_from_json,
     report_to_json,
     to_json_text,
 )
 
 
-def test_report_round_trip():
-    # the reader infers the space from multisets_scanned and tries both
-    # exclude_repdigits settings, which the JSON does not mark
+def test_report_json_is_deterministic():
+    # every field but the elapsed time is a function of the query, so two
+    # searches write the same bytes
     configs = [SearchConfig(k=k) for k in range(1, 15)]
     configs += [
         SearchConfig(k=12, allow_zero=False),
@@ -51,100 +47,9 @@ def test_report_round_trip():
     assert multiset_count(1, True) == multiset_count(1, False)
     assert not search(configs[-1]).records
     for cfg in configs:
-        report = search(cfg)
-        text = report_to_json(report)
-        back = report_from_json(text)
-        assert back == report
-        assert report_to_json(back) == text  # stable bytes
-
-
-def _refused(obj) -> None:
-    with pytest.raises(ValueError, match="not a search report of width"):
-        report_from_json(json.dumps(obj))
-
-
-def test_report_from_json_refuses_what_it_cannot_prove():
-    # The reader runs the search again, so any text that no search writes
-    # is refused: a class the criterion rejects or of another width, a
-    # field edited, records out of order, repeated or left out, and a
-    # multisets_scanned that is not the size of the space searched.
-    text = report_to_json(search(SearchConfig(k=4)))
-    assert report_from_json(text).records[0].proof.position_gaps_checked == range(1, 4)
-    non_pinn = DigitMultiset.from_string("3100")  # 3 - 1 is not 0 mod 4
-    foreign = [
-        _record_to_obj(PinnRecord(non_pinn, is_pinn_criterion(non_pinn)[1])),
-        json.loads(report_to_json(search(SearchConfig(k=5))))["records"][0],
-    ]
-    for rec in foreign:
-        obj = json.loads(text)
-        obj["records"][0] = rec
-        _refused(obj)
-    edits = [
-        ("canonical", "1001"),
-        ("digit_sum", 2),
-        ("orbit_size", 5),
-        ("position_gaps_checked", [1, 3, 2]),
-        ("stage1_count", 13),
-        ("k", 4.0),
-        ("k", "4"),
-    ]
-    for key, value in edits:
-        obj = json.loads(text)
-        rec = obj["records"][0]
-        target = obj if key in obj else rec if key in rec else rec["proof"]
-        target[key] = value
-        _refused(obj)
-    reversed_ = json.loads(text)
-    reversed_["records"].reverse()
-    repeated = json.loads(text)
-    repeated["records"].append(repeated["records"][-1])
-    repeated["stage2_count"] += 1
-    left_out = json.loads(text)
-    left_out["records"].pop()
-    left_out["stage2_count"] -= 1
-    assert repeated["records"][-1]["counts"][0]  # the last class has a zero
-    for obj in (reversed_, repeated, left_out):
-        _refused(obj)
-    # 7 counts no space; the zero-free one cannot hold this report's
-    # classes with a zero
-    for scanned in (7, multiset_count(4, allow_zero=False)):
-        obj = json.loads(text)
-        obj["multisets_scanned"] = scanned
-        _refused(obj)
-    # Texts too short for their width are refused before any work that grows
-    # with it: one class at 10^8 with a one-digit canonical string, and the
-    # classes the search finds at 10^8 without their canonical strings
-    # (building them would take 8.7 GB).  An empty report at 10^12 differs
-    # from the search's in its counts, before any k-digit string is built.
-    k = 10**8
-    one = json.loads(text)
-    one.update(k=k, multisets_scanned=multiset_count(k), stage1_count=0, stage2_count=1)
-    one["records"] = one["records"][:1]
-    assert one["records"][0]["canonical"] == "1000"
-    one["records"][0].update(counts=[k - 1, 1] + [0] * 8, canonical="1")
-    report = search(SearchConfig(k=k))
-    bare = {
-        "k": k,
-        "stage1_count": report.stage1_count,
-        "stage2_count": report.stage2_count,
-        "multisets_scanned": report.multisets_scanned,
-        "records": [{"counts": list(r.multiset.counts)} for r in report.records],
-    }
-    k = 10**12
-    empty = {"k": k, "stage1_count": 0, "stage2_count": 0,
-             "multisets_scanned": multiset_count(k), "records": []}
-    for obj in (one, bare, empty):
-        tracemalloc.start()
-        try:
-            _refused(obj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10**6
-    # JSON of another shape gets the same refusal, not a KeyError or TypeError
-    for shape in ('{"records": []}', '{"k": 4, "records": 5}', "[]", "5"):
-        with pytest.raises(ValueError, match="not a search report of width"):
-            report_from_json(shape)
+        text = report_to_json(search(cfg))
+        assert json.loads(text)["k"] == cfg.k
+        assert report_to_json(search(cfg)) == text
 
 
 def test_report_json_excludes_elapsed():
