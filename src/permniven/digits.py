@@ -19,7 +19,9 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
+from operator import mul
 
 __all__ = [
     "DigitMultiset",
@@ -28,13 +30,13 @@ __all__ = [
     "value_mod",
 ]
 
-# A run of one digit whose last copy may carry a repeat count, so plain
-# digits cost one match per run.  One alternative per digit: a
-# backreference, (\d)\1*, keeps state for every repeat, about 76 MB on a
-# run of 10^6 digits.
-_BLOCK_RE = re.compile(
-    "(" + "|".join(f"{d}+" for d in "0123456789") + r")(?:_\((\d+)\))?", re.ASCII
-)
+# A run of one digit, and in a block its last copy may carry a repeat
+# count, so plain digits cost one match per run.  One alternative per
+# digit: a backreference, (\d)\1*, keeps state for every repeat, about
+# 76 MB on a run of 10^6 digits.
+_RUN = "|".join(f"{d}+" for d in "0123456789")
+_RUN_RE = re.compile(_RUN, re.ASCII)
+_BLOCK_RE = re.compile(f"({_RUN})" + r"(?:_\((\d+)\))?", re.ASCII)
 
 
 # --- rep-block notation -----------------------------------------------------
@@ -59,6 +61,8 @@ def _parse_runs(text: str) -> tuple[tuple[int, int], ...]:
     text = text.strip()
     if not text:
         raise ValueError("empty number")
+    if text.isascii() and text.isdigit():  # plain digits: each match is a maximal run
+        return tuple([(ord(run[0]) - 48, len(run)) for run in _RUN_RE.findall(text)])
     pos = 0
     runs: list[tuple[int, int]] = []
     while pos < len(text):
@@ -111,9 +115,9 @@ class DigitMultiset:
     counts: tuple[int, int, int, int, int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.counts) != 10 or any(c < 0 for c in self.counts):
+        if len(self.counts) != 10 or min(self.counts) < 0:
             raise ValueError("counts must be 10 non-negative integers")
-        if sum(self.counts[1:]) == 0:
+        if not any(self.counts[1:]):
             raise ValueError("all-zero multiset rejected")
 
     @classmethod
@@ -134,7 +138,7 @@ class DigitMultiset:
 
     @property
     def digit_sum(self) -> int:
-        return sum(d * c for d, c in enumerate(self.counts))
+        return sum(map(mul, range(10), self.counts))
 
     @property
     def runs(self) -> tuple[tuple[int, int], ...]:
@@ -144,7 +148,7 @@ class DigitMultiset:
     @property
     def canonical(self) -> str:
         """Digits sorted descending: the largest arrangement, never zero-led."""
-        return "".join(str(d) * self.counts[d] for d in range(9, -1, -1))
+        return "".join(map(mul, "9876543210", reversed(self.counts)))
 
     @property
     def orbit_size(self) -> int:
@@ -162,11 +166,11 @@ class DigitMultiset:
 
     @property
     def present_digits(self) -> tuple[int, ...]:
-        return tuple(d for d in range(10) if self.counts[d])
+        return tuple(compress(range(10), self.counts))
 
     @property
     def is_repdigit(self) -> bool:
-        return sum(1 for c in self.counts if c) == 1
+        return self.counts.count(0) == 9
 
     def with_zeros(self, extra: int) -> DigitMultiset:
         if extra < 0:

@@ -11,14 +11,15 @@ sum s is a PINN class exactly when all its present digits are congruent
 modulo T = ``class_modulus(s, k)`` = s / gcd(s, 9) and its canonical
 arrangement is divisible by s.  So for each digit sum the scan enumerates
 just the multisets drawn from one residue class mod T that add up to s,
-bounding each digit's count by what the remaining digits can still sum to,
-and keeps those the criterion accepts, each as a ``PinnRecord`` of the
-multiset and its proof.  Above s = 81, T exceeds 9, every residue class
-is a single digit, and only the repdigit sums a * k can hold a class, so
-the scan visits the sums up to min(9k, 81) and those, at most 90 in all at
-any width.  The space covered is still every multiset, and
-``multisets_scanned`` reports its size.  Nothing in a report grows with k:
-canonical strings are built only by the writers that print them.
+in the classes that can reach s (see ``search``), bounding each digit's
+count by what the remaining digits can still sum to, and keeps those the
+criterion accepts, each as a ``PinnRecord`` of the multiset and its proof.
+Above s = 81, T exceeds 9, every residue class is a single digit, and only
+the repdigit sums a * k can hold a class, so the scan visits the sums up
+to min(9k, 81) and those, at most 90 in all at any width.  The space
+covered is still every multiset, and ``multisets_scanned`` reports its
+size.  Nothing in a report grows with k: canonical strings are built only
+by the writers that print them.
 
 A report's ``stage1_count`` counts its zero-free classes and
 ``stage2_count`` its classes with a zero, both read from the records; the
@@ -111,7 +112,13 @@ def _class_members(digits: tuple[int, ...], k: int, s: int) -> list[tuple[int, .
 
 def search(cfg: SearchConfig) -> SearchReport:
     """Every PINN class among the k-digit multisets, zero-free ones only
-    when allow_zero is off, in canonical order."""
+    when allow_zero is off, in canonical order.
+
+    For a digit sum s, a residue class c0 < c0 + T < ... < c[-1] mod T is
+    enumerated only when k * c0 <= s <= k * c[-1] and T divides s - k * c0,
+    and that is exact: k digits from the class sum to k * c0 + T * j for
+    every j from 0 to k * (len(c) - 1).
+    """
     t0 = time.monotonic()
     k = cfg.k
     first = 0 if cfg.allow_zero else 1
@@ -121,12 +128,12 @@ def search(cfg: SearchConfig) -> SearchReport:
     repdigit_sums = [a * k for a in range(1, 10) if a * k > top]
     for s in [*range(1 if cfg.allow_zero else k, top + 1), *repdigit_sums]:
         t = class_modulus(s, k)
-        if t > 9:  # every residue class is a single digit
-            classes = [(s // k,)] if s % k == 0 else []
-        else:
-            classes = [tuple(range(r if r >= first else r + t, 10, t)) for r in range(t)]
-        for digits in classes:
-            for counts in _class_members(digits, k, s):
+        # each class by its least digit; above T = 9 every class is one digit
+        for c0 in range(first, min(first + t, 10)):
+            last = c0 + (9 - c0) // t * t
+            if not (k * c0 <= s <= k * last and (s - k * c0) % t == 0):
+                continue
+            for counts in _class_members(tuple(range(c0, 10, t)), k, s):
                 if cfg.exclude_repdigits and counts.count(0) == 9:
                     continue
                 # the criterion keeps a candidate when s divides its canonical value

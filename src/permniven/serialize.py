@@ -5,9 +5,10 @@ output objects are built where its writers are, in ``cli``.
 Every JSON text is exactly what ``json.dumps(obj, indent=2,
 sort_keys=True)`` writes, and a newline.  ``to_json_text`` writes it by one
 recursive walk that joins each container's items, since with ``indent`` set
-CPython's ``json`` falls back to its pure-Python encoder; the one exception,
-the repdigit grid's thousands of same-shaped entries, is formatted from a
-template by ``grid_report_to_json``, in the same bytes.
+CPython's ``json`` falls back to its pure-Python encoder.  Two writers of
+many same-shaped items format each item from a template instead, in the
+same bytes: ``report_to_json`` for a search report's records and
+``grid_report_to_json`` for the repdigit grid's entries.
 
 Search reports serialize without the elapsed field; every other field is
 a pure function of the inputs, so two runs of the same query produce
@@ -18,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import cache
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -97,31 +99,42 @@ def _proof_to_obj(proof: Any) -> dict[str, Any]:
     raise TypeError(f"unknown proof {proof!r}")
 
 
-def _record_to_obj(rec: PinnRecord) -> dict[str, Any]:
-    m = rec.multiset
-    return {
-        "counts": list(m.counts),
-        "canonical": m.canonical,
-        "digit_sum": m.digit_sum,
-        "orbit_size": m.orbit_size,
-        "proof": _proof_to_obj(rec.proof),
-    }
-
-
 # --- search reports ----------------------------------------------------------------
 
-def _report_to_obj(report: SearchReport) -> dict[str, Any]:
-    return {
-        "k": report.k,
-        "stage1_count": report.stage1_count,
-        "stage2_count": report.stage2_count,
-        "multisets_scanned": report.multisets_scanned,
-        "records": [_record_to_obj(r) for r in report.records],
-    }
+# A search record has one fixed shape, so, as for the grid below, each is one
+# %-format of a template; its proof's pair and gap lists repeat across records
+# and are written once per distinct list.
+_RECORD = (
+    '{\n      "canonical": "%s",\n      "counts": [\n        '
+    + ",\n        ".join(["%d"] * 10)
+    + '\n      ],\n      "digit_sum": %d,\n      "orbit_size": %d,\n      "proof": {'
+    '\n        "base_residue": %d,\n        "digit_pairs_checked": %s,'
+    '\n        "position_gaps_checked": %s,\n        "type": "criterion"\n      }\n    }'
+)
+_REPORT = (
+    '{\n  "k": %d,\n  "multisets_scanned": %d,\n  "records": %s,'
+    '\n  "stage1_count": %d,\n  "stage2_count": %d\n}\n'
+)
 
 
 def report_to_json(report: SearchReport) -> str:
-    return to_json_text(_report_to_obj(report))
+    """``to_json_text`` of the report's object, byte for byte: k,
+    multisets_scanned, records, stage1_count and stage2_count, each record
+    with canonical, counts, digit_sum, orbit_size and its criterion proof
+    as ``_proof_to_obj`` writes it."""
+    once = cache(lambda seq: _json_text(list(seq), "\n        "))  # pairs or gaps
+    records = ",\n    ".join([
+        _RECORD % (
+            m.canonical, *m.counts, m.digit_sum, m.orbit_size, p.base_residue,
+            once(p.digit_pairs_checked), once(p.position_gaps_checked),
+        )
+        for m, p in ((r.multiset, r.proof) for r in report.records)
+    ])
+    return _REPORT % (
+        report.k, report.multisets_scanned,
+        f"[\n    {records}\n  ]" if records else "[]",
+        report.stage1_count, report.stage2_count,
+    )
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

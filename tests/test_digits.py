@@ -102,6 +102,25 @@ def test_compress_and_format_match_the_per_character_loop():
     assert _parse_runs("1_(3)110_(2)") == ((1, 5), (0, 2))
 
 
+def test_plain_digits_read_as_the_block_loop_reads_them():
+    # plain text takes a one-pass path; a trailing _(1) names the same number
+    # and sends it through the block loop
+    rng = random.Random(29)
+    for _ in range(300):
+        alphabet = rng.choice(["0123456789", "01", "7", "90"])
+        s = "".join(rng.choice(alphabet) * rng.randint(1, 5) for _ in range(rng.randint(1, 40)))
+        padded = rng.choice(["", " ", "\t"]) + s + rng.choice(["", " ", "\n"])
+        assert _parse_runs(padded) == _parse_runs(s + "_(1)") == reference_compress(s), s
+        if s.strip("0"):
+            assert DigitMultiset.from_string(padded).counts == tuple(map(s.count, "0123456789"))
+    # text that is not all ASCII digits is refused by the loop, at the same place
+    for bad, rest in [("12a3", "a3"), ("12 3", " 3"), ("1.5", ".5"), ("12\n3", "\n3"),
+                      ("+12", "+12"), ("12\u0663", "\u0663"), ("1\u00b2", "\u00b2"),
+                      ("\uff11\uff12", "\uff11\uff12")]:
+        with pytest.raises(ValueError, match=re.escape(f"bad rep-block syntax at {rest!r}")):
+            _parse_runs(bad)
+
+
 def test_runs_mod_equals_horner_on_the_expanded_digits():
     rng = random.Random(23)
     for case in range(300):

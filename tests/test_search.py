@@ -6,6 +6,7 @@ test-side reference for that scan.
 """
 from __future__ import annotations
 
+import importlib
 import math
 import random
 import tracemalloc
@@ -16,12 +17,13 @@ import pytest
 
 from permniven.catalogs import GROUP_CORES, NN2_VALUES, ZERO_FREE_EXTRAS
 from permniven.digits import DigitMultiset, multiset_count
-from permniven.orbits import decide_pinn, is_pinn_criterion
+from permniven.orbits import class_modulus, decide_pinn, is_pinn_criterion
 from permniven.search import (
     CENSUS_MAX,
     SearchConfig,
     SearchReport,
     _arrangements_upto,
+    _class_members,
     _pinn_histogram,
     census,
     report_values,
@@ -178,6 +180,50 @@ def test_search_is_complete_against_independent_reference():
         found = {r.multiset.canonical for r in zero_free.records}
         assert found == _reference_classes(k, "987654321"), k
         assert len(found) == (5 if k == 12 else 0)
+
+
+def _scanned_classes(monkeypatch, k, allow_zero):
+    """(s, digits, has a member) for each class the scan enumerates."""
+    seen = []
+    # the module, which the package's own `search` function shadows
+    search_module = importlib.import_module("permniven.search")
+
+    def spy(digits, k, s):
+        members = _class_members(digits, k, s)
+        seen.append((s, digits, bool(members)))
+        return members
+
+    monkeypatch.setattr(search_module, "_class_members", spy)
+    search(SearchConfig(k=k, allow_zero=allow_zero))
+    return seen
+
+
+@pytest.mark.parametrize("allow_zero", [True, False])
+def test_every_class_the_scan_enumerates_has_a_member(monkeypatch, allow_zero):
+    # the scan's test on a class, k * c0 <= s <= k * c[-1] and T | s - k * c0,
+    # keeps no class that cannot reach the digit sum
+    for k in range(1, 301):
+        seen = _scanned_classes(monkeypatch, k, allow_zero)
+        assert seen and all(has for _, _, has in seen), k
+
+
+@pytest.mark.parametrize("allow_zero", [True, False])
+def test_the_scan_drops_no_class_that_reaches_the_sum(monkeypatch, allow_zero):
+    # every digit sum and every residue class mod T: a class with a member
+    # at sum s is one the scan enumerates, unless s is above 81, where T > 9
+    # and only a repdigit sum can hold a class
+    first = 0 if allow_zero else 1
+    for k in range(1, 21):
+        scanned = {(s, digits) for s, digits, _ in _scanned_classes(monkeypatch, k, allow_zero)}
+        reached = set()
+        for s in range(1, 9 * k + 1):
+            t = class_modulus(s, k)
+            for r in range(min(t, 10)):
+                digits = tuple(d for d in range(first, 10) if d % t == r)
+                if digits and _class_members(digits, k, s):
+                    reached.add((s, digits))
+        assert scanned <= reached
+        assert all(s > 81 and s % k for s, _ in reached - scanned), k
 
 
 def test_repdigit_exclusion():

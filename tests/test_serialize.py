@@ -13,15 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permniven import repdigits
-from permniven.digits import multiset_count
+from permniven.digits import DigitMultiset, multiset_count
+from permniven.orbits import CriterionProof, PinnRecord
 from permniven.repdigits import (
     CONJECTURE_PRIMES,
     DEFAULT_GRID_BOUNDS,
     ConjectureConstraints,
     verify_conjecture_grid,
 )
-from permniven.search import SearchConfig, search
+from permniven.search import SearchConfig, SearchReport, search
 from permniven.serialize import (
+    _proof_to_obj,
     bfile_text,
     grid_report_to_json,
     records_to_csv,
@@ -50,6 +52,54 @@ def test_report_json_is_deterministic():
         text = report_to_json(search(cfg))
         assert json.loads(text)["k"] == cfg.k
         assert report_to_json(search(cfg)) == text
+
+
+def reference_obj(report):
+    """The search report as the object its JSON text writes."""
+    return {
+        "k": report.k,
+        "stage1_count": report.stage1_count,
+        "stage2_count": report.stage2_count,
+        "multisets_scanned": report.multisets_scanned,
+        "records": [
+            {
+                "counts": list(r.multiset.counts),
+                "canonical": r.multiset.canonical,
+                "digit_sum": r.multiset.digit_sum,
+                "orbit_size": r.multiset.orbit_size,
+                "proof": _proof_to_obj(r.proof),
+            }
+            for r in report.records
+        ],
+    }
+
+
+def test_report_json_is_json_dumps():
+    reports = [
+        search(SearchConfig(k, allow_zero, exclude_repdigits))
+        for k in [*range(1, 41), 300, 3000]
+        for allow_zero in (True, False)
+        for exclude_repdigits in (True, False)
+    ]
+    empty = search(SearchConfig(k=13, allow_zero=False, exclude_repdigits=True))
+    assert not empty.records
+    # a repdigit proves with no pairs and no gaps; a rejected proof stops at
+    # gap 1 with base residue -1
+    repdigit = DigitMultiset((0, 0, 0, 5, 0, 0, 0, 0, 0, 0))
+    rejected = DigitMultiset((0, 1, 2, 0, 0, 0, 0, 0, 0, 0))
+    hand_built = SearchReport(
+        k=3,
+        records=(
+            PinnRecord(repdigit, CriterionProof((), range(1, 1), 0)),
+            PinnRecord(rejected, CriterionProof(((2, 1),), range(1, 2), -1)),
+            PinnRecord(repdigit, CriterionProof((), range(1, 1), 0)),
+        ),
+        multisets_scanned=7,
+    )
+    for r in (*reports, empty, hand_built):
+        expected = json.dumps(reference_obj(r), indent=2, sort_keys=True) + "\n"
+        assert report_to_json(r) == expected, r.k
+    assert json.loads(report_to_json(empty))["records"] == []
 
 
 def test_report_json_excludes_elapsed():
