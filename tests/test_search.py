@@ -209,9 +209,8 @@ def test_every_class_the_scan_enumerates_has_a_member(monkeypatch, allow_zero):
 
 @pytest.mark.parametrize("allow_zero", [True, False])
 def test_the_scan_drops_no_class_that_reaches_the_sum(monkeypatch, allow_zero):
-    # every digit sum and every residue class mod T: a class with a member
-    # at sum s is one the scan enumerates, unless s is above 81, where T > 9
-    # and only a repdigit sum can hold a class
+    # every digit sum and every residue class mod T: above s = 81, T > 9 and
+    # only a singleton class at a repdigit sum has a member
     first = 0 if allow_zero else 1
     for k in range(1, 21):
         scanned = {(s, digits) for s, digits, _ in _scanned_classes(monkeypatch, k, allow_zero)}
@@ -222,8 +221,7 @@ def test_the_scan_drops_no_class_that_reaches_the_sum(monkeypatch, allow_zero):
                 digits = tuple(d for d in range(first, 10) if d % t == r)
                 if digits and _class_members(digits, k, s):
                     reached.add((s, digits))
-        assert scanned <= reached
-        assert all(s > 81 and s % k for s, _ in reached - scanned), k
+        assert scanned == reached, k
 
 
 def test_repdigit_exclusion():

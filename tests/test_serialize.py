@@ -85,7 +85,7 @@ def test_report_json_is_json_dumps():
     assert not empty.records
     # a repdigit proves with no pairs and no gaps; a rejected proof stops at
     # gap 1 with base residue -1
-    repdigit = DigitMultiset((0, 0, 0, 5, 0, 0, 0, 0, 0, 0))
+    repdigit = DigitMultiset((0, 0, 0, 3, 0, 0, 0, 0, 0, 0))
     rejected = DigitMultiset((0, 1, 2, 0, 0, 0, 0, 0, 0, 0))
     hand_built = SearchReport(
         k=3,
