@@ -7,7 +7,9 @@ format it writes, decide which, and any other is refused before any work.
 Exit status is 0 on success, 1 when a verification produced a negative
 verdict or could not finish (deciders that disagree and internal faults
 included), and 2 on usage errors and nothing else: a malformed argument,
-or a value the library refuses because of what the user typed.
+or a value the library refuses because of what the user typed.  Exit 2
+comes only from a ``UsageError``, and ``_user_input`` is where a library
+refusal of the user's values becomes one.
 
 `check` and `families --verify` share ``orbits.decide_pinn``: the
 congruence criterion, and behind every "yes" a second decider, the closed
@@ -26,9 +28,9 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
 from .digits import DigitMultiset, _format_runs, _parse_runs, expand
-from .families import FAMILY_IDS, KTooSmall, _core_width, instantiate, verify_family
+from .families import FAMILY_IDS, _core_width, instantiate, verify_family
 from .families import catalog as reference_catalog
-from .numtheory import FactorizationTimeout, NotCoprime, multiplicative_order
+from .numtheory import FactorizationTimeout, multiplicative_order
 from .orbits import BudgetExceeded, decide_pinn
 from .repdigits import (
     CONJECTURE_PRIMES,
@@ -82,14 +84,15 @@ def _lines(*lines: str) -> str:
 
 @contextmanager
 def _user_input() -> Iterator[None]:
-    """Turn a ValueError raised inside the block into a UsageError.
+    """Turn a ValueError, or a cap's OverflowError, raised inside the block
+    into a UsageError, the one exception that exits 2.
 
     Wrap only calls that hand the library what the user typed, so that any
     other ValueError stays an internal fault.
     """
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -211,7 +214,8 @@ def _instances_writer(ns: argparse.Namespace) -> Callable[..., str]:
 
 def _cmd_families(ns: argparse.Namespace) -> int:
     write = _instances_writer(ns)
-    # name the width all ten need, not the first family that does not fit
+    # checked here so the message names the width all ten need, not the
+    # first family that does not fit
     need = 1 + max(map(_core_width, range(len(FAMILY_IDS))))
     if ns.k < need:
         raise UsageError(f"the ten families need k >= {need}, got {ns.k}")
@@ -229,9 +233,9 @@ def _cmd_families(ns: argparse.Namespace) -> int:
 
 def _cmd_catalog(ns: argparse.Namespace) -> int:
     write = _instances_writer(ns)
-    if not 1 <= ns.k <= 9:
-        raise UsageError("catalog covers k = 1..9")
-    sys.stdout.write(write(reference_catalog(ns.k), None))
+    with _user_input():
+        instances = reference_catalog(ns.k)
+    sys.stdout.write(write(instances, None))
     return EXIT_OK
 
 
@@ -240,7 +244,7 @@ def _factored_str(cons: ConjectureConstraints) -> str:
 
 
 def _cmd_repdigit(ns: argparse.Namespace) -> int:
-    # a flag the chosen mode would ignore is refused, not dropped
+    # only the CLI knows which flags a mode reads: one it would ignore is refused
     point_flags = [
         f"--{name}" for name in ("a", *CONJECTURE_PRIMES) if getattr(ns, name) is not None
     ]
@@ -259,12 +263,11 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
             csv=lambda values: csv_text(["k"], [(v,) for v in values]),
             bfile=bfile_text,
         )
+        # the library returns [] below 1 and refuses nothing, so the CLI does
         if ns.sweep < 1:
             raise UsageError("--sweep LIMIT must be >= 1")
-        try:
+        with _user_input():
             values = exact_condition_sweep(ns.sweep)
-        except OverflowError as exc:  # limit above SWEEP_LIMIT_CAP, refused before any work
-            raise UsageError(str(exc)) from exc
         sys.stdout.write(write(values))
         return EXIT_OK
 
@@ -290,15 +293,10 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
                  for e in report.entries],
             ),
         )
-        if ns.max_exp is None:
-            bounds = DEFAULT_GRID_BOUNDS
-        else:
-            with _user_input():
-                bounds = ConjectureConstraints(*([ns.max_exp] * 10))
-        try:
+        with _user_input():
+            bounds = (DEFAULT_GRID_BOUNDS if ns.max_exp is None
+                      else ConjectureConstraints(*([ns.max_exp] * 10)))
             report = verify_conjecture_grid(bounds)
-        except OverflowError as exc:  # too many ladder tuples, refused before any work
-            raise UsageError(str(exc)) from exc
         sys.stdout.write(write(report))
         return EXIT_OK if report.all_ok else EXIT_VERIFICATION
 
@@ -326,15 +324,10 @@ def _cmd_repdigit(ns: argparse.Namespace) -> int:
 
     write = _writer(ns, text=text, json=json)
     a = 1 if ns.a is None else ns.a
-    if not 1 <= a <= 9:
-        raise UsageError("--a must be a digit 1..9")
     with _user_input():
         cons = ConjectureConstraints(*(getattr(ns, name) or 0 for name in CONJECTURE_PRIMES))
-    try:
         k_value = cons.k
-    except OverflowError as exc:  # k above K_BIT_CAP, refused before any work
-        raise UsageError(str(exc)) from exc
-    chk = repdigit_niven_check(a, k_value)
+        chk = repdigit_niven_check(a, k_value)
     sys.stdout.write(write(a, cons, k_value, chk))
     return EXIT_OK if chk.exact else EXIT_VERIFICATION
 
@@ -345,9 +338,9 @@ def _cmd_order(ns: argparse.Namespace) -> int:
         text=lambda t: f"multiplicative order of 10 modulo {ns.m}: {t}\n",
         json=lambda t: to_json_text({"base": 10, "modulus": ns.m, "order": t}),
     )
-    if ns.m < 1:
-        raise UsageError("--m must be >= 1")
-    sys.stdout.write(write(multiplicative_order(10, ns.m)))
+    with _user_input():
+        order = multiplicative_order(10, ns.m)
+    sys.stdout.write(write(order))
     return EXIT_OK
 
 
@@ -369,6 +362,8 @@ def _cmd_census(ns: argparse.Namespace) -> int:
             ["digit_sum", "count"], sorted(result.digit_sum_histogram.items())
         ),
     )
+    # checked here, not wrapped: census may raise a ValueError of its own,
+    # which is an internal fault
     if not 1 <= ns.max <= CENSUS_MAX:
         raise UsageError(f"--max must be in 1..{CENSUS_MAX}")
     sys.stdout.write(write(census(ns.max)))
@@ -514,7 +509,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return ns.func(ns)
-    except (UsageError, NotCoprime, KTooSmall) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:  # not from user input, so not a usage error

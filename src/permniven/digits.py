@@ -179,9 +179,6 @@ class DigitMultiset:
         counts[0] += extra
         return DigitMultiset(tuple(counts))
 
-    def __str__(self) -> str:
-        return self.canonical
-
 
 def multiset_count(k: int, allow_zero: bool = True) -> int:
     """Number of k-digit multisets naming a positive number.

@@ -32,7 +32,6 @@ from .orbits import (
 __all__ = [
     "FAMILY_IDS",
     "FamilyInstance",
-    "KTooSmall",
     "catalog",
     "instantiate",
     "verify_family",
@@ -40,10 +39,6 @@ __all__ = [
 
 # One label per GROUP_CORES group, in printed order.
 FAMILY_IDS = ("ka", "kb", "kc", "kd", "ke", "kf", "kg", "kh", "ki", "kj")
-
-
-class KTooSmall(Exception):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +74,7 @@ def instantiate(family_id: str, k: int) -> FamilyInstance:
     group = FAMILY_IDS.index(family_id)
     min_k = _core_width(group) + 1
     if k < min_k:
-        raise KTooSmall(f"family {family_id} needs k >= {min_k}, got {k}")
+        raise ValueError(f"family {family_id} needs k >= {min_k}, got {k}")
     return FamilyInstance(template_id=family_id, k=k, members=_padded(group, k))
 
 

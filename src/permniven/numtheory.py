@@ -14,7 +14,6 @@ from math import gcd, isqrt, lcm
 
 __all__ = [
     "FactorizationTimeout",
-    "NotCoprime",
     "PrimalityVerdict",
     "factorize",
     "multiplicative_order",
@@ -28,10 +27,6 @@ RHO_BUDGET_SECONDS = 5.0
 # this bound (3.3 * 10^24).
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-class NotCoprime(Exception):
-    pass
 
 
 class FactorizationTimeout(Exception):
@@ -152,8 +147,6 @@ def probable_prime(n: int) -> PrimalityVerdict:
 
 def _brent_rho(n: int, deadline: float) -> int:
     """One nontrivial factor of composite odd n, or raises on timeout."""
-    if n % 2 == 0:
-        return 2
     seed = 1
     while True:
         y, c, m = seed, seed + 1, 128
@@ -212,8 +205,6 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if probable_prime(m).is_prime:
             factors[m] = factors.get(m, 0) + 1
             continue
@@ -237,14 +228,14 @@ def multiplicative_order(base: int, m: int) -> int:
     """Least t >= 1 with base^t == 1 (mod m).
 
     Needs the factorization of m and of each p-1, each under the time
-    budget of ``factorize``.
+    budget of ``factorize``.  Raises ValueError for m < 1 or gcd(base, m) > 1.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
     if m == 1:
         return 1
     if gcd(base, m) != 1:
-        raise NotCoprime(f"gcd({base}, {m}) != 1")
+        raise ValueError(f"gcd({base}, {m}) != 1")
     result = 1
     for p, e in factorize(m).items():
         result = lcm(result, _order_mod_prime_power(base, p, e))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
 
-from .digits import DigitMultiset, _parse_runs, _runs_mod, expand
+from .digits import DigitMultiset, _format_runs, _parse_runs, _runs_mod, expand
 from .repdigits import repdigit_niven_check
 
 __all__ = [
@@ -289,5 +289,6 @@ def decide_pinn(m: DigitMultiset) -> tuple[bool, CriterionProof | FailureWitness
         runs = (*rest, (a, 1), (b, 1))
         if r := _runs_mod(runs, m.digit_sum):
             return False, FailureWitness(expand(runs), r), False
-    raise ArithmeticError(f"the criterion rejects digits {u} and {v} of {m}, "
+    raise ArithmeticError(f"the criterion rejects digits {u} and {v} of "
+                          f"{_format_runs(m.runs)}, "
                           "but both arrangements ending in them divide")

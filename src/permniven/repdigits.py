@@ -25,7 +25,7 @@ with the width.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 from operator import attrgetter, getitem
@@ -202,7 +202,7 @@ class GridReport:
     bit_cap: int
     entries: tuple[GridEntry, ...]
     skipped_over_cap: int
-    elapsed: float
+    elapsed: float = field(compare=False)
 
     @property
     def all_ok(self) -> bool:

@@ -19,8 +19,6 @@ EXPORTS = [
     "FamilyInstance",
     "GridEntry",
     "GridReport",
-    "KTooSmall",
-    "NotCoprime",
     "PinnRecord",
     "PrimalityVerdict",
     "RepdigitCheck",

@@ -15,7 +15,8 @@ import pytest
 
 from permniven.catalogs import NN2_VALUES
 from permniven.cli import run
-from permniven.digits import _parse_runs, expand
+from permniven.digits import _format_runs, _parse_runs, expand
+from permniven.families import instantiate
 from permniven.repdigits import CONJECTURE_PRIMES, ConjectureConstraints, verify_conjecture_grid
 from test_digits import reference_value_mod
 from test_orbits import says_pinn
@@ -236,6 +237,30 @@ def test_families_listing_and_verify(capsys):
     assert "verified: all 87 members" in capsys.readouterr().out
 
 
+def test_families_verify_lists_a_member_the_dp_refuses(capsys, monkeypatch):
+    import permniven.orbits as orbits
+
+    # the DP sees the member with its zeros capped, so the refused class is
+    # known by its nonzero digits
+    refused = instantiate("kc", 12).members[2]
+    dp = orbits.is_pinn_residue_count
+
+    def refuses_one_class(m):
+        if m.counts[1:] == refused.counts[1:]:
+            return False, orbits.FailureWitness(m.canonical, 1)
+        return dp(m)
+
+    monkeypatch.setattr(orbits, "is_pinn_residue_count", refuses_one_class)
+    assert run(["families", "--k", "12", "--verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"FAILED kc: {_format_runs(refused.runs)}" in lines
+    assert not any(line.startswith("verified:") for line in lines)
+    assert run(["families", "--k", "12", "--verify", "--format", "json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["verified"] is False
+    assert obj["failures"] == [{"template": "kc", "canonical": refused.canonical}]
+
+
 def test_families_and_catalog_json_use_block_notation(capsys):
     assert run(["families", "--k", "12", "--format", "json"]) == 0
     ka = [f for f in json.loads(capsys.readouterr().out)["families"] if f["template"] == "ka"]
@@ -442,6 +467,18 @@ def test_order(capsys):
     assert json.loads(capsys.readouterr().out)["order"] == 27
 
 
+def test_order_reports_a_factorization_timeout(capsys, monkeypatch):
+    import permniven.numtheory as numtheory
+
+    # 10007 * 10009: both primes lie above trial division, so rho must run,
+    # and a timeout is a verification that could not finish, not a usage error
+    monkeypatch.setattr(numtheory, "RHO_BUDGET_SECONDS", 0)
+    assert run(["order", "--m", "100160063"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failed: rho budget exhausted on 100160063\n"
+
+
 def test_census(capsys):
     assert run(["census", "--max", "999"]) == 0
     assert "PINNs <= 999: 114" in capsys.readouterr().out
@@ -514,6 +551,25 @@ def test_probe_never_expands_its_input(capsys):
 def test_input_the_library_refuses_is_a_usage_error(capsys, argv):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["order", "--m", "0"], "modulus must be positive"),
+        (["order", "--m", "50"], "gcd(10, 50) != 1"),
+        (["catalog", "--k", "10"], "catalog covers k = 1..9, got 10"),
+        (["repdigit", "--a", "11"], "digit a must be 1..9"),
+        # the width is refused before the digit is looked at
+        (["repdigit", "--a", "11", "--n", "500000"],
+         "k has about 1000001 bits, above the 6144-bit cap"),
+    ],
+)
+def test_a_library_refusal_is_the_usage_message(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -3,6 +3,7 @@ are checked against."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import fields
 from itertools import combinations_with_replacement, permutations
 from unittest import mock
@@ -249,6 +250,29 @@ def test_decide_pinn_trusts_no_single_decider(monkeypatch):
     monkeypatch.setattr(orbits, "is_pinn_criterion", rejects_a_pair)
     with pytest.raises(ArithmeticError):
         decide_pinn(DigitMultiset.from_string("2448"))
+
+
+def test_a_contradicted_pair_names_the_class_by_its_runs(monkeypatch):
+    import permniven.orbits as orbits
+
+    def rejects_a_pair(m):
+        return False, CriterionProof(
+            digit_pairs_checked=((4, 2),), position_gaps_checked=range(1, 2), base_residue=-1
+        )
+
+    # both arrangements ending in 4 and 2 divide by the digit sum 18, so the
+    # fault names the class, in runs: its 10^8 digits are never written
+    monkeypatch.setattr(orbits, "is_pinn_criterion", rejects_a_pair)
+    m = DigitMultiset.from_string("24480_(100000000)")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArithmeticError) as info:
+            decide_pinn(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "84420_(100000000)" in str(info.value)
+    assert peak < 10**6
 
 
 def zero_cap(s: int) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -144,6 +145,12 @@ def test_grid_default_bounds_pass():
     negatives = [e for e in report.entries if not e.expected]
     assert len(negatives) == 9  # one minimal violation per non-n parameter
     assert all(not e.exact for e in negatives)
+
+
+def test_grid_elapsed_is_not_part_of_report_identity():
+    r = verify_conjecture_grid()
+    assert replace(r, elapsed=r.elapsed + 123.0) == r
+    assert verify_conjecture_grid() == r
 
 
 def reference_grid(bounds):
