@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from itertools import compress
 from math import comb
 from operator import mul
@@ -108,17 +107,37 @@ def value_mod(text: str, m: int) -> int:
 
 # --- multisets ---------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
 class DigitMultiset:
     """Counts of digits 0..9; at least one nonzero digit must be present."""
 
+    __slots__ = ("counts",)
     counts: tuple[int, int, int, int, int, int, int, int, int, int]
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != 10 or min(self.counts) < 0:
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        counts = tuple(counts)
+        # any count that is not an int, a float say, makes the sum no int
+        if len(counts) != 10 or type(sum(counts)) is not int or min(counts) < 0:
             raise ValueError("counts must be 10 non-negative integers")
-        if not any(self.counts[1:]):
+        if not any(counts[1:]):
             raise ValueError("all-zero multiset rejected")
+        object.__setattr__(self, "counts", counts)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"DigitMultiset is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.counts == other.counts if type(other) is DigitMultiset else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.counts)
+
+    def __repr__(self) -> str:
+        return f"DigitMultiset(counts={self.counts!r})"
+
+    def __reduce__(self) -> tuple:
+        return DigitMultiset, (self.counts,)
 
     @classmethod
     def from_string(cls, text: str) -> DigitMultiset:
@@ -130,7 +149,7 @@ class DigitMultiset:
         counts = [0] * 10
         for d, n in runs:
             counts[d] += n
-        return cls(tuple(counts))
+        return cls(counts)
 
     @property
     def k(self) -> int:
@@ -177,7 +196,7 @@ class DigitMultiset:
             raise ValueError("zero count must be non-negative")
         counts = list(self.counts)
         counts[0] += extra
-        return DigitMultiset(tuple(counts))
+        return DigitMultiset(counts)
 
 
 def multiset_count(k: int, allow_zero: bool = True) -> int:

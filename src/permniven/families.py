@@ -18,8 +18,8 @@ every k >= core width + 6.  Nothing in the code caps k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .catalogs import GROUP_CORES
 from .digits import DigitMultiset
@@ -41,8 +41,7 @@ __all__ = [
 FAMILY_IDS = ("ka", "kb", "kc", "kd", "ke", "kf", "kg", "kh", "ki", "kj")
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     template_id: str
     k: int
     members: tuple[DigitMultiset, ...]

@@ -9,8 +9,8 @@ a few hundred steps, long before trial division would reach it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 __all__ = [
     "FactorizationTimeout",
@@ -119,8 +119,7 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True, slots=True)
-class PrimalityVerdict:
+class PrimalityVerdict(NamedTuple):
     n: int
     is_prime: bool
     method: str  # "deterministic" or "probabilistic"

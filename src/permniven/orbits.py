@@ -29,9 +29,9 @@ at most six, whose table then does not grow with the width.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
+from typing import NamedTuple
 
 from .digits import DigitMultiset, _format_runs, _parse_runs, _runs_mod, expand
 from .repdigits import repdigit_niven_check
@@ -69,21 +69,18 @@ def is_niven(text: str) -> bool:
     return _runs_mod(runs, digit_sum) == 0
 
 
-@dataclass(frozen=True, slots=True)
-class FailureWitness:
+class FailureWitness(NamedTuple):
     permutation: str
     residue: int
 
 
-@dataclass(frozen=True, slots=True)
-class CriterionProof:
+class CriterionProof(NamedTuple):
     digit_pairs_checked: tuple[tuple[int, int], ...]
     position_gaps_checked: range
     base_residue: int
 
 
-@dataclass(frozen=True, slots=True)
-class PinnRecord:
+class PinnRecord(NamedTuple):
     multiset: DigitMultiset
     proof: CriterionProof
 

@@ -25,10 +25,9 @@ with the width.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import product
 from math import prod
-from operator import attrgetter, getitem
+from operator import getitem
 from typing import NamedTuple
 
 from .digits import _format_runs, _parse_runs, _runs_mod
@@ -117,10 +116,7 @@ DISTINGUISHED_PRIMES: tuple[int, ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ConjectureConstraints:
-    """Grid exponent tuple with the minimal-index ladder."""
-
+class _ExponentFields(NamedTuple):
     n: int = 0
     alpha: int = 0
     beta: int = 0
@@ -132,12 +128,22 @@ class ConjectureConstraints:
     delta4: int = 0
     delta5: int = 0
 
-    def __post_init__(self) -> None:
-        if min(_exponents(self)) < 0:
+
+class ConjectureConstraints(_ExponentFields):
+    """Grid exponent tuple, in CONJECTURE_PRIMES order, with the minimal-index ladder."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> ConjectureConstraints:
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) < 0:
             raise ValueError("exponents are non-negative")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
     def as_tuple(self) -> tuple[int, ...]:
-        return _exponents(self)
+        return tuple(self)
 
     def satisfies_ladder(self) -> bool:
         return all(
@@ -166,10 +172,6 @@ class ConjectureConstraints:
         return prod(p**e for p, e in self.factors)
 
 
-# the exponents in field order, which is the order of CONJECTURE_PRIMES
-_exponents = attrgetter(*CONJECTURE_PRIMES)
-
-
 class RepdigitCheck(NamedTuple):
     strict: bool  # 10^k == 1 (mod 9ka), the commonly quoted form
     exact: bool  # 10^k == 1 (mod 9k), necessary and sufficient
@@ -188,21 +190,27 @@ def repdigit_niven_check(a: int, k: int) -> RepdigitCheck:
 
 # --- the solution grid ------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class GridEntry:
+class GridEntry(NamedTuple):
     exponents: tuple[int, ...]  # in CONJECTURE_PRIMES order
     modulus_bits: int  # bit length of 9k
     exact: bool
     expected: bool
 
 
-@dataclass(frozen=True, slots=True)
-class GridReport:
+class GridReport(NamedTuple):
     bounds: ConjectureConstraints
     bit_cap: int
     entries: tuple[GridEntry, ...]
     skipped_over_cap: int
-    elapsed: float = field(compare=False)
+    elapsed: float  # the last field, and out of ==, != and hash
+
+    def __eq__(self, other: object) -> bool:
+        return self[:-1] == other[:-1] if type(other) is GridReport else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__, where tuple's compares elapsed
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
     @property
     def all_ok(self) -> bool:

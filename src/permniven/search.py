@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .catalogs import GROUP_CORES, ZERO_FREE_EXTRAS
@@ -52,23 +51,37 @@ __all__ = [
 CENSUS_MAX = 10**18
 
 
-@dataclass(frozen=True, slots=True)
-class SearchConfig:
+class _SearchFields(NamedTuple):
     k: int
     allow_zero: bool = True
     exclude_repdigits: bool = False
 
-    def __post_init__(self) -> None:
+
+class SearchConfig(_SearchFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> SearchConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
 
-@dataclass(frozen=True, slots=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     k: int
     records: tuple[PinnRecord, ...]
     multisets_scanned: int
-    elapsed: float = field(compare=False, default=0.0)
+    elapsed: float = 0.0  # the last field, and out of ==, != and hash
+
+    def __eq__(self, other: object) -> bool:
+        return self[:-1] == other[:-1] if type(other) is SearchReport else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__, where tuple's compares elapsed
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
     @property
     def stage1_count(self) -> int:

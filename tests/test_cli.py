@@ -9,7 +9,6 @@ import re
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -386,7 +385,7 @@ def test_repdigit_grid_text_names_a_failed_entry(monkeypatch, capsys):
     import permniven.cli as cli
 
     report = verify_conjecture_grid(ConjectureConstraints(*[1] * 10))
-    failed = replace(report, entries=report.entries + (replace(report.entries[0], exact=False),))
+    failed = report._replace(entries=report.entries + (report.entries[0]._replace(exact=False),))
     monkeypatch.setattr(cli, "verify_conjecture_grid", lambda bounds: failed)
     assert run(["repdigit", "--grid", "--max-exp", "1"]) == 1
     assert capsys.readouterr().out.splitlines() == [

@@ -257,6 +257,15 @@ def test_multiset_rejects_bad_counts():
         DigitMultiset((1,) * 9)  # wrong arity
     with pytest.raises(ValueError):
         DigitMultiset((-1, 2, 0, 0, 0, 0, 0, 0, 0, 0))
+    # a float count fails here, not later inside the criterion's pow
+    with pytest.raises(ValueError, match="counts must be 10 non-negative integers"):
+        DigitMultiset((0, 1.0, 0, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_multiset_stores_its_counts_as_a_tuple():
+    m = DigitMultiset([0, 0, 1, 0, 2, 0, 0, 0, 1, 0])
+    assert m.counts == (0, 0, 1, 0, 2, 0, 0, 0, 1, 0) and type(m.counts) is tuple
+    assert hash(m) == hash(DigitMultiset(m.counts)) and m == DigitMultiset.from_string("2448")
 
 
 def test_orbit_size_is_the_multinomial():

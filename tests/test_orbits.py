@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from dataclasses import fields
 from itertools import combinations_with_replacement, permutations
 from unittest import mock
 
@@ -375,7 +374,7 @@ def test_decide_pinn_agrees_with_the_criterion_up_to_width_10_4(m):
 
 
 def test_pinn_record_is_the_multiset_and_its_proof():
-    assert [f.name for f in fields(PinnRecord)] == ["multiset", "proof"]
+    assert PinnRecord._fields == ("multiset", "proof")
     assert not is_pinn_criterion(DigitMultiset.from_string("13"))[0]
     m = DigitMultiset.from_string("2448")
     ok, proof = is_pinn_criterion(m)

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -98,6 +97,8 @@ def test_ladder():
     assert ConjectureConstraints(n=4, delta2=1, gamma1=1).satisfies_ladder()
     with pytest.raises(ValueError):
         ConjectureConstraints(n=-1)
+    with pytest.raises(ValueError, match="exponents are non-negative"):
+        ConjectureConstraints(n=1)._replace(delta5=-1)
 
 
 def test_conjecture_primes_are_prime_with_3_power_orders():
@@ -149,8 +150,11 @@ def test_grid_default_bounds_pass():
 
 def test_grid_elapsed_is_not_part_of_report_identity():
     r = verify_conjecture_grid()
-    assert replace(r, elapsed=r.elapsed + 123.0) == r
+    clone = r._replace(elapsed=r.elapsed + 123.0)
+    assert clone == r and not clone != r and hash(clone) == hash(r)
     assert verify_conjecture_grid() == r
+    other = r._replace(skipped_over_cap=r.skipped_over_cap + 1)
+    assert other != r and not other == r
 
 
 def reference_grid(bounds):

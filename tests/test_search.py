@@ -238,7 +238,9 @@ def test_elapsed_is_not_part_of_report_identity():
         multisets_scanned=r.multisets_scanned,
         elapsed=r.elapsed + 123.0,
     )
-    assert clone == r
+    assert clone == r and not clone != r and hash(clone) == hash(r)
+    other = clone._replace(multisets_scanned=r.multisets_scanned + 1)
+    assert other != r and not other == r
 
 
 def test_search_memory_does_not_grow_with_width():
@@ -257,6 +259,8 @@ def test_search_memory_does_not_grow_with_width():
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(k=0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        SearchConfig(k=3)._replace(k=0)
 
 
 def test_report_values_expand_orbits():

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -167,8 +166,8 @@ def test_grid_report_json_with_skipped_and_failed_entries(monkeypatch):
     report = verify_conjecture_grid(ConjectureConstraints(n=4, alpha=2, beta=1, delta1=1))
     assert report.skipped_over_cap > 0 and report.bit_cap == 32
     # a failed entry writes all_ok false; no entries write an empty list
-    failed = replace(report, entries=report.entries + (replace(report.entries[0], exact=False),))
-    empty = replace(report, entries=())
+    failed = report._replace(entries=report.entries + (report.entries[0]._replace(exact=False),))
+    empty = report._replace(entries=())
     for r in (report, failed, empty):
         expected = json.dumps(_grid_report_obj(r), indent=2, sort_keys=True) + "\n"
         assert grid_report_to_json(r) == expected
